@@ -43,7 +43,12 @@ from .evaluate import (
     sweep,
     worst_outlier_rank,
 )
-from .fast import NeighborIndex, build_index, score_all_fast, similarity_from_distance
+from .fast import (
+    neighbor_distances,
+    score_all_fast,
+    scores_from_distances,
+    similarity_from_distance,
+)
 from .ingest import (
     PreprocessSpec,
     preprocess,
@@ -79,7 +84,6 @@ __all__ = [
     "EvalReport",
     "InvalidTopR",
     "LabeledDataset",
-    "NeighborIndex",
     "NoOutliersLabeled",
     "NonFiniteValue",
     "OdacError",
@@ -96,12 +100,12 @@ __all__ = [
     "TooFewPoints",
     "ascending_ranking",
     "augment",
-    "build_index",
     "cosine_similarity",
     "donor_trials_accuracy",
     "enumerate_outlier_trials",
     "exact_set_accuracy",
     "generate",
+    "neighbor_distances",
     "observation_point",
     "percentile_recall",
     "preprocess",
@@ -111,6 +115,7 @@ __all__ = [
     "score_all_fast",
     "score_all_naive",
     "score_point",
+    "scores_from_distances",
     "similarity_from_distance",
     "sweep",
     "validate_dataset",

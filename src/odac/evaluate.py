@@ -12,7 +12,8 @@ paths are interchangeable):
     score ranking (bucket b covers ranks floor(b*q*w/100)+1 through
     floor((b+1)*q*w/100) for width w%).
   * sweep: worst-outlier rank (the largest ascending-score rank held by
-    any true outlier) as one parameter varies.
+    any true outlier) as one parameter varies. With the fast scorer, one
+    k-NN pass serves every value.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .datagen import SyntheticSpec, generate
 from .errors import NoOutliersLabeled
-from .fast import score_all_fast
+from .fast import neighbor_distances, score_all_fast, scores_from_distances
 from .types import Dataset, LabeledDataset, Params, ScoreReport
 
 Scorer = Callable[[Dataset, Params], ScoreReport]
@@ -261,6 +262,9 @@ def sweep(
 ) -> SweepReport:
     """Worst-outlier rank for each value of one parameter.
 
+    With the default fast scorer the whole sweep costs one k-NN pass, at
+    the largest s_n it needs; any other scorer is called once per value.
+
     Args:
         vary: "n_d" or "s_n"; the other knob stays at its `fixed` value.
         values: Non-empty list of settings to try.
@@ -270,12 +274,19 @@ def sweep(
     if not values:
         raise ValueError("values must be non-empty")
     _require_outliers(labeled)
-    curve = []
-    for value in values:
-        params = replace(fixed, **{vary: value})
-        report = scorer(labeled.data, params)
-        curve.append((value, worst_outlier_rank(labeled, report)))
-    return SweepReport(parameter=vary, curve=tuple(curve))
+    settings = [replace(fixed, **{vary: value}) for value in values]
+    if scorer is score_all_fast:
+        # Neighbor distances do not depend on n_d, and those for a smaller
+        # s_n are a prefix of each row: one k-NN pass serves every setting.
+        dist = neighbor_distances(labeled.data, max(p.s_n for p in settings))
+        reports = (scores_from_distances(dist, p) for p in settings)
+    else:
+        reports = (scorer(labeled.data, p) for p in settings)
+    curve = tuple(
+        (value, worst_outlier_rank(labeled, report))
+        for value, report in zip(values, reports)
+    )
+    return SweepReport(parameter=vary, curve=curve)
 
 
 def enumerate_outlier_trials(

@@ -1,4 +1,4 @@
-"""Production scorer driven by exact k-nearest-neighbor queries.
+"""Production scorer: one exact k-nearest-neighbor pass plus a closed form.
 
 Because the observation point sits directly above the measured point,
 each similarity reduces to a function of the plain Euclidean distance d
@@ -7,10 +7,20 @@ between the two original points:
     S = n_d / sqrt(d^2 + n_d^2)
 
 which is strictly decreasing in d. The s_n largest similarities of a
-point are therefore attained exactly at its s_n nearest neighbors, and a
-point's score is one exact k-NN query plus this transform. The reduction
-is asserted against the literal scorer by the test suite; `odac.naive`
-remains the independent oracle.
+point are therefore attained exactly at its s_n nearest neighbors.
+Scoring splits into two steps:
+
+  * `neighbor_distances(data, k)` runs the one exact k-NN pass and
+    returns every point's ascending neighbor distances. They do not
+    depend on n_d, and the distances for any s_n <= k are a prefix of
+    the same row.
+  * `scores_from_distances(dist, params)` applies the transform to the
+    first s_n columns and sums them.
+
+So one pass at the largest s_n serves every parameter setting, which is
+how `evaluate.sweep` tunes n_d and s_n. The reduction is asserted against
+the literal scorer by the test suite; `odac.naive` remains the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -25,23 +35,30 @@ from .types import Dataset, Params, ScoreReport, ascending_ranking, validate_dat
 # kd-tree pruning degrades as dimensionality grows; past this width a
 # blocked brute-force scan is both simpler and faster.
 _TREE_MAX_DIM = 20
-_BRUTE_BLOCK = 2048
+# Cells per brute-force distance block (32 MiB of float64), so the scan's
+# memory stays flat as q grows.
+_BRUTE_CELLS = 1 << 22
 
 
 def similarity_from_distance(d, n_d: float):
-    """Closed-form similarity for points at Euclidean distance d."""
+    """Closed-form similarity n_d / sqrt(d^2 + n_d^2) at Euclidean distance d.
+
+    Evaluated in the ratio form 1 / sqrt(1 + (d / n_d)^2): a zero distance
+    gives exactly 1.0 however small n_d is (n_d * n_d would underflow),
+    and a ratio too large to square gives 0.0.
+    """
     d = np.asarray(d, dtype=np.float64)
-    return n_d / np.sqrt(d * d + n_d * n_d)
+    with np.errstate(over="ignore"):
+        r = np.divide(d, n_d, out=np.empty(d.shape))
+        np.multiply(r, r, out=r)
+    r += 1.0
+    np.sqrt(r, out=r)
+    np.reciprocal(r, out=r)
+    return r[()]  # a scalar for scalar input, else the array
 
 
 class NeighborIndex:
-    """Immutable exact k-NN index over the original n-dimensional points.
-
-    Queries exclude the query point from its own result, return exact
-    Euclidean distances sorted ascending, and resolve distance ties by
-    ascending point index so the neighbor choice matches the reference
-    scorer's similarity sort.
-    """
+    """Immutable exact k-NN index over the original n-dimensional points."""
 
     def __init__(self, points: np.ndarray, method: str = "auto") -> None:
         if method == "auto":
@@ -53,53 +70,20 @@ class NeighborIndex:
         self._tree = cKDTree(points) if method == "tree" else None
 
     @property
-    def q(self) -> int:
-        return self._points.shape[0]
-
-    @property
     def method(self) -> str:
         return self._method
-
-    def query(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k nearest neighbors of point i, excluding i itself.
-
-        Returns:
-            (distances, indices), both length k, distances ascending and
-            ties broken by ascending index.
-        """
-        if not 0 <= i < self.q:
-            raise IndexError(f"point index {i} out of range for q = {self.q}")
-        if not 1 <= k <= self.q - 1:
-            raise InvalidTopR(f"k = {k} but only {self.q - 1} other points exist")
-        x = self._points[i]
-        if self._tree is not None:
-            # Radius pass so that boundary ties are all visible before the
-            # per-index tie-break is applied. The radius is inflated a hair
-            # because the ball search compares squared distances and can
-            # otherwise round the boundary neighbor out; spurious extras
-            # sort after the cut and are discarded.
-            bound = self._tree.query(x, k=k + 1)[0][-1]
-            cand = np.asarray(
-                self._tree.query_ball_point(x, bound * (1.0 + 1e-9)),
-                dtype=np.intp,
-            )
-        else:
-            cand = np.arange(self.q)
-        dist = np.linalg.norm(self._points[cand] - x, axis=1)
-        order = np.lexsort((cand, dist))
-        keep = cand[order] != i
-        chosen = order[keep][:k]
-        return dist[chosen], cand[chosen]
 
     def distances_all(self, k: int) -> np.ndarray:
         """Ascending distances to the k nearest neighbors of every point.
 
-        Returns a (q, k) array. Only distances are reported: tied
-        boundary neighbors are interchangeable for any distance-based
-        score, so no index tie-break is needed here.
+        Returns a (q, k) array; a point is never its own neighbor, but a
+        duplicate twin is, at distance 0. Only distances are reported:
+        tied boundary neighbors are interchangeable for any
+        distance-based score, so no index tie-break is needed.
         """
-        if not 1 <= k <= self.q - 1:
-            raise InvalidTopR(f"k = {k} but only {self.q - 1} other points exist")
+        q = self._points.shape[0]
+        if not 1 <= k <= q - 1:
+            raise InvalidTopR(f"k = {k} but only {q - 1} other points exist")
         if self._tree is not None:
             # Each point sees distance 0 to itself, so column 0 is always
             # one zero entry; dropping it leaves the k true neighbor
@@ -107,21 +91,50 @@ class NeighborIndex:
             # same distance 0).
             dist = self._tree.query(self._points, k=k + 1, workers=-1)[0]
             return dist[:, 1:]
-        out = np.empty((self.q, k))
-        for start in range(0, self.q, _BRUTE_BLOCK):
-            stop = min(start + _BRUTE_BLOCK, self.q)
+        out = np.empty((q, k))
+        rows = max(1, _BRUTE_CELLS // q)
+        for start in range(0, q, rows):
+            stop = min(start + rows, q)
             dist = cdist(self._points[start:stop], self._points)
             dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
-            part = np.partition(dist, k - 1, axis=1)[:, :k]
+            dist.partition(k - 1, axis=1)
+            part = dist[:, :k]
             part.sort(axis=1)
             out[start:stop] = part
         return out
 
 
-def build_index(data: Dataset, method: str = "auto") -> NeighborIndex:
-    """Build an exact neighbor index over a validated dataset."""
+def neighbor_distances(data: Dataset, k: int) -> np.ndarray:
+    """Validate the dataset and return its (q, k) ascending k-NN distances.
+
+    Raises:
+        InvalidTopR: unless 1 <= k <= q - 1.
+    """
     validate_dataset(data)
-    return NeighborIndex(data.points, method=method)
+    return NeighborIndex(data.points).distances_all(k)
+
+
+def scores_from_distances(dist: np.ndarray, params: Params) -> ScoreReport:
+    """Score every point from its ascending neighbor distances.
+
+    Args:
+        dist: (q, k) array from `neighbor_distances`; only the first
+            params.s_n columns are read, so any k >= s_n gives the same
+            scores.
+        params: Scoring knobs.
+
+    Raises:
+        InvalidTopR: params.s_n exceeds the k columns of `dist`.
+    """
+    if params.s_n > dist.shape[1]:
+        raise InvalidTopR(
+            f"s_n = {params.s_n} but only {dist.shape[1]} neighbor distances per point"
+        )
+    sims = similarity_from_distance(dist[:, : params.s_n], params.n_d)
+    # Rows are descending (distances ascending); reverse so the sum
+    # accumulates ascending values like the reference scorer.
+    scores = sims[:, ::-1].sum(axis=1)
+    return ScoreReport(scores=scores, ranking=ascending_ranking(scores))
 
 
 def score_all_fast(data: Dataset, params: Params) -> ScoreReport:
@@ -135,11 +148,4 @@ def score_all_fast(data: Dataset, params: Params) -> ScoreReport:
         ScoreReport matching score_all_naive up to floating-point noise,
         with the identical ranking tie rule.
     """
-    validate_dataset(data)
-    index = build_index(data)
-    dist = index.distances_all(params.s_n)
-    sims = similarity_from_distance(dist, params.n_d)
-    # Rows are descending (distances ascending); reverse so the sum
-    # accumulates ascending values like the reference scorer.
-    scores = sims[:, ::-1].sum(axis=1)
-    return ScoreReport(scores=scores, ranking=ascending_ranking(scores))
+    return scores_from_distances(neighbor_distances(data, params.s_n), params)

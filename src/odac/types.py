@@ -98,7 +98,8 @@ class ScoreReport:
     """Per-point anomaly scores plus the ascending-score ranking.
 
     Lower scores mark more outlying points: ranking[0] is the strongest
-    outlier candidate. Ties are broken by ascending point index.
+    outlier candidate. Ties are broken by ascending point index. Scores
+    must be finite.
     """
 
     scores: np.ndarray
@@ -110,6 +111,8 @@ class ScoreReport:
         q = scores.shape[0]
         if scores.ndim != 1 or ranking.shape != (q,):
             raise ValueError("scores and ranking must be 1-D of equal length")
+        if not np.isfinite(scores).all():
+            raise ValueError("scores must be finite")
         counts = np.bincount(ranking, minlength=q) if q else np.empty(0)
         if q and (ranking.min() < 0 or ranking.max() >= q or counts.max() != 1):
             raise ValueError("ranking is not a permutation of 0..q-1")

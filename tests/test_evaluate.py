@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from odac import (
     sweep,
     worst_outlier_rank,
 )
+from odac.fast import NeighborIndex
 
 
 def separated_scene(seed=0, anomalies=4):
@@ -237,6 +239,44 @@ class TestSweep:
             scaled, score_all_fast(scaled.data, Params(n_d=5.0 * c, s_n=10))
         )
         assert got == base
+
+    @pytest.mark.parametrize(
+        "vary, values",
+        [("n_d", [0.05, 0.3, 1.0, 8.0]), ("s_n", [1, 4, 10, 25])],
+    )
+    def test_shared_pass_matches_per_value_scoring(self, vary, values):
+        # A near shell, so the worst-outlier rank moves along both curves.
+        labeled = generate(
+            SyntheticSpec(dim=3, normal_count=60, anomaly_count=6,
+                          shell_min=1.05, shell_max=1.6, seed=1)
+        )
+        fixed = Params(n_d=1.0, s_n=10)
+        report = sweep(labeled, fixed, vary, values)
+        assert len({rank for _, rank in report.curve}) > 1
+        per_value = tuple(
+            (v, worst_outlier_rank(
+                labeled, score_all_fast(labeled.data, replace(fixed, **{vary: v}))
+            ))
+            for v in values
+        )
+        assert report.curve == per_value
+        assert report == sweep(labeled, fixed, vary, values, scorer=score_all_naive)
+
+    @pytest.mark.parametrize(
+        "vary, values, k",
+        [("n_d", [2.0, 8.0, 30.0], 10), ("s_n", [3, 17, 8], 17)],
+    )
+    def test_one_knn_pass_per_sweep(self, monkeypatch, vary, values, k):
+        calls = []
+        original = NeighborIndex.distances_all
+
+        def counting(self, k):
+            calls.append(k)
+            return original(self, k)
+
+        monkeypatch.setattr(NeighborIndex, "distances_all", counting)
+        sweep(separated_scene(seed=26), Params(n_d=5.0, s_n=10), vary, values)
+        assert calls == [k]
 
     def test_two_column_csv(self):
         labeled = separated_scene(seed=24)

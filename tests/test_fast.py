@@ -5,11 +5,14 @@ from odac import (
     Dataset,
     InvalidTopR,
     Params,
-    build_index,
+    neighbor_distances,
     score_all_fast,
     score_all_naive,
+    scores_from_distances,
     similarity_from_distance,
 )
+from odac import fast
+from odac.fast import NeighborIndex
 from odac.naive import _similarity_row, augment
 
 from conftest import random_dataset
@@ -17,6 +20,7 @@ from conftest import random_dataset
 
 def test_transform_at_zero_distance():
     assert similarity_from_distance(0.0, 7.0) == 1.0
+    assert similarity_from_distance(0.0, 1e-170) == 1.0
 
 
 def test_transform_decreasing():
@@ -28,65 +32,73 @@ def test_transform_decreasing():
 
 class TestNeighborIndex:
     def test_collinear_two_nn(self):
-        index = build_index(Dataset(np.array([[0.0, 0], [1.0, 0], [3.0, 0]])))
-        dist, idx = index.query(0, 2)
-        assert idx.tolist() == [1, 2]
-        assert dist.tolist() == [1.0, 3.0]
+        index = NeighborIndex(np.array([[0.0, 0], [1.0, 0], [3.0, 0]]))
+        assert index.distances_all(2).tolist() == [
+            [1.0, 3.0], [1.0, 2.0], [2.0, 3.0],
+        ]
 
     def test_all_others_for_full_k(self):
         rng = np.random.default_rng(21)
-        index = build_index(random_dataset(rng, 9, 3))
-        _, idx = index.query(4, 8)
-        assert sorted(idx.tolist()) == [0, 1, 2, 3, 5, 6, 7, 8]
+        points = random_dataset(rng, 9, 3).points
+        pairwise = np.linalg.norm(points[:, None] - points[None], axis=2)
+        expected = np.sort(pairwise, axis=1)[:, 1:]  # column 0 is self
+        for method in ("tree", "brute"):
+            got = NeighborIndex(points, method=method).distances_all(8)
+            np.testing.assert_allclose(got, expected, rtol=1e-12)
 
-    def test_distance_ties_break_by_index(self):
+    def test_tied_distances(self):
         # Four points at distance exactly 1 from the origin point.
         pts = np.array([[0.0, 0], [0, 1], [1, 0], [0, -1], [-1, 0], [5, 5]])
         for method in ("tree", "brute"):
-            index = build_index(Dataset(pts), method=method)
-            dist, idx = index.query(0, 2)
-            assert idx.tolist() == [1, 2]
-            assert dist.tolist() == [1.0, 1.0]
+            dist = NeighborIndex(pts, method=method).distances_all(2)
+            assert dist[0].tolist() == [1.0, 1.0]
 
     def test_duplicate_twin_is_a_neighbor_but_self_is_not(self):
         pts = np.array([[2.0, 2.0], [2.0, 2.0], [9.0, 9.0], [2.0, 2.0]])
         for method in ("tree", "brute"):
-            index = build_index(Dataset(pts), method=method)
-            dist, idx = index.query(1, 2)
-            assert idx.tolist() == [0, 3]
-            assert dist.tolist() == [0.0, 0.0]
+            dist = NeighborIndex(pts, method=method).distances_all(3)
+            assert dist[1].tolist() == [0.0, 0.0, 7.0 * np.sqrt(2.0)]
+            assert dist[2, 0] == 7.0 * np.sqrt(2.0)
 
     def test_tree_and_brute_agree(self):
         rng = np.random.default_rng(22)
-        data = random_dataset(rng, 80, 4)
-        tree = build_index(data, method="tree")
-        brute = build_index(data, method="brute")
-        for i in (0, 17, 79):
-            dt, it = tree.query(i, 11)
-            db, ib = brute.query(i, 11)
-            assert it.tolist() == ib.tolist()
-            np.testing.assert_allclose(dt, db, rtol=1e-12)
+        points = random_dataset(rng, 80, 4).points
         np.testing.assert_allclose(
-            tree.distances_all(11), brute.distances_all(11), rtol=1e-12
+            NeighborIndex(points, method="tree").distances_all(11),
+            NeighborIndex(points, method="brute").distances_all(11),
+            rtol=1e-12,
+        )
+
+    def test_brute_blocks_agree_with_tree(self):
+        rng = np.random.default_rng(28)
+        q = 3000
+        assert fast._BRUTE_CELLS // q < q  # several blocks, the last one short
+        points = random_dataset(rng, q, 4).points
+        np.testing.assert_allclose(
+            NeighborIndex(points, method="brute").distances_all(7),
+            NeighborIndex(points, method="tree").distances_all(7),
+            rtol=1e-12,
         )
 
     def test_high_dimension_selects_brute(self):
         rng = np.random.default_rng(23)
-        assert build_index(random_dataset(rng, 10, 25)).method == "brute"
-        assert build_index(random_dataset(rng, 10, 4)).method == "tree"
+        assert NeighborIndex(random_dataset(rng, 10, 25).points).method == "brute"
+        assert NeighborIndex(random_dataset(rng, 10, 4).points).method == "tree"
 
     def test_capacity(self):
         rng = np.random.default_rng(24)
-        index = build_index(random_dataset(rng, 10_000, 6))
-        dist = index.distances_all(5)
+        dist = neighbor_distances(random_dataset(rng, 10_000, 6), 5)
         assert dist.shape == (10_000, 5)
         assert np.all(np.diff(dist, axis=1) >= 0)
 
     def test_k_out_of_range(self):
         rng = np.random.default_rng(25)
-        index = build_index(random_dataset(rng, 6, 2))
-        with pytest.raises(InvalidTopR):
-            index.query(0, 6)
+        points = random_dataset(rng, 6, 2).points
+        for method in ("tree", "brute"):
+            index = NeighborIndex(points, method=method)
+            for k in (0, 6):
+                with pytest.raises(InvalidTopR):
+                    index.distances_all(k)
 
 
 class TestScoreAllFast:
@@ -106,6 +118,12 @@ class TestScoreAllFast:
         assert report.scores.tolist() == [3.0] * 5
         assert report.ranking.tolist() == list(range(5))
 
+    def test_duplicate_at_tiny_n_d(self):
+        # n_d * n_d underflows to 0 here; the twins must still see S = 1.
+        data = Dataset(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
+        report = score_all_fast(data, Params(n_d=1e-170, s_n=1))
+        assert report.scores.tolist() == [1.0, 1.0, 0.0, 0.0]
+
     def test_top_r_capped(self):
         data = Dataset(np.zeros((4, 2)))
         with pytest.raises(InvalidTopR):
@@ -121,21 +139,42 @@ class TestScoreAllFast:
                 n_d=float(rng.uniform(0.5, 200.0)),
                 s_n=int(rng.integers(1, q)),
             )
-            fast = score_all_fast(data, params)
+            fast_report = score_all_fast(data, params)
             naive = score_all_naive(data, params)
-            np.testing.assert_allclose(fast.scores, naive.scores, atol=1e-9)
-            assert fast.ranking.tolist() == naive.ranking.tolist()
+            np.testing.assert_allclose(fast_report.scores, naive.scores, atol=1e-9)
+            assert fast_report.ranking.tolist() == naive.ranking.tolist()
 
     def test_top_similarities_are_nearest_neighbors(self):
-        """The top-s_n similarity set of every point is its s_n-NN set."""
+        """The top-s_n similarities of every point sit at its s_n nearest neighbors."""
         rng = np.random.default_rng(27)
         data = random_dataset(rng, 70, 4)
-        s_n = 9
-        index = build_index(data)
+        s_n, n_d = 9, 12.0
+        dist = neighbor_distances(data, s_n)
         aug = augment(data)
         for i in range(data.q):
-            sims = _similarity_row(aug, i, 12.0)
+            sims = _similarity_row(aug, i, n_d)
             sims[i] = -np.inf
-            by_similarity = set(np.argsort(-sims, kind="stable")[:s_n].tolist())
-            neighbors = set(index.query(i, s_n)[1].tolist())
-            assert by_similarity == neighbors
+            top = np.sort(sims)[::-1][:s_n]
+            np.testing.assert_allclose(
+                top, similarity_from_distance(dist[i], n_d), rtol=1e-12
+            )
+
+
+class TestScoresFromDistances:
+    def test_prefixes_match_score_all_fast(self):
+        rng = np.random.default_rng(29)
+        data = random_dataset(rng, 90, 3)
+        dist = neighbor_distances(data, 30)
+        for s in (1, 2, 7, 30):
+            params = Params(n_d=6.0, s_n=s)
+            expected = score_all_fast(data, params)
+            for columns in (dist, dist[:, :s]):
+                got = scores_from_distances(columns, params)
+                np.testing.assert_allclose(got.scores, expected.scores, rtol=1e-12)
+                assert got.ranking.tolist() == expected.ranking.tolist()
+
+    def test_s_n_beyond_columns(self):
+        rng = np.random.default_rng(30)
+        dist = neighbor_distances(random_dataset(rng, 20, 2), 5)
+        with pytest.raises(InvalidTopR):
+            scores_from_distances(dist, Params(n_d=1.0, s_n=6))

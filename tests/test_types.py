@@ -88,6 +88,12 @@ class TestScoreReport:
         with pytest.raises(ValueError):
             ScoreReport(scores=[1.0, 2.0, 3.0], ranking=[2, 1, 0])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_scores_must_be_finite(self, bad):
+        scores = np.array([1.0, bad, 3.0])
+        with pytest.raises(ValueError):
+            ScoreReport(scores=scores, ranking=ascending_ranking(scores))
+
     def test_tie_break_by_index(self):
         scores = np.array([0.5, 0.2, 0.5, 0.1])
         assert ascending_ranking(scores).tolist() == [3, 1, 0, 2]
