@@ -27,8 +27,8 @@ def _add_scoring_flags(parser) -> None:
                         help="scoring path (default %(default)s)")
 
 
-def _add_input_flags(parser) -> None:
-    parser.add_argument("--in", dest="input", required=True, metavar="PATH",
+def _add_input_flags(parser, required: bool = True) -> None:
+    parser.add_argument("--in", dest="input", required=required, metavar="PATH",
                         help="input CSV file")
     parser.add_argument("--header", action="store_true",
                         help="input has a header row")
@@ -41,11 +41,11 @@ def _add_input_flags(parser) -> None:
                              "with --normalize, else 1)")
 
 
-def _add_generator_flags(parser) -> None:
-    parser.add_argument("--dim", type=int, required=True, help="dimensionality")
-    parser.add_argument("--normal", type=int, required=True,
+def _add_generator_flags(parser, required: bool = True) -> None:
+    parser.add_argument("--dim", type=int, required=required, help="dimensionality")
+    parser.add_argument("--normal", type=int, required=required,
                         help="points in the cluster ball")
-    parser.add_argument("--anomalies", type=int, required=True,
+    parser.add_argument("--anomalies", type=int, required=required,
                         help="points in the outer shell")
     parser.add_argument("--radius", type=float, default=1.0,
                         help="cluster radius R (default %(default)s)")
@@ -80,26 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="percentile-recall report on a labeled CSV, or seeded "
              "synthetic trials when --in is omitted",
     )
-    p.add_argument("--in", dest="input", default=None, metavar="PATH",
-                   help="labeled CSV file (percentile mode)")
-    p.add_argument("--header", action="store_true", help="input has a header row")
-    p.add_argument("--label-col", default=None, metavar="COL",
-                   help="0/1 label column, by name (with --header) or index")
-    p.add_argument("--normalize", action="store_true",
-                   help="min-max normalize each column before scoring")
-    p.add_argument("--scale", type=float, default=None, metavar="C",
-                   help="multiplier applied after normalization")
+    _add_input_flags(p, required=False)
+    _add_generator_flags(p, required=False)
     p.add_argument("--buckets", type=float, default=1.0, metavar="W",
                    help="bucket width in percent (default %(default)s)")
     p.add_argument("--trials", type=int, default=200,
                    help="trial count in synthetic mode (default %(default)s)")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--normal", type=int, default=None)
-    p.add_argument("--anomalies", type=int, default=None)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--shell-min", type=float, default=1.1)
-    p.add_argument("--shell-max", type=float, default=3.0)
-    p.add_argument("--seed", type=int, default=0)
     _add_scoring_flags(p)
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also write the report as CSV")

@@ -28,6 +28,7 @@ import numpy as np
 from .datagen import SyntheticSpec, generate
 from .errors import NoOutliersLabeled
 from .fast import neighbor_distances, score_all_fast, scores_from_distances
+from .ingest import _write_rows
 from .types import Dataset, LabeledDataset, Params, ScoreReport
 
 Scorer = Callable[[Dataset, Params], ScoreReport]
@@ -129,22 +130,6 @@ class SweepReport:
             [self.parameter, "worst_outlier_rank"],
             [[value, rank] for value, rank in self.curve],
         )
-
-
-def _write_rows(sink, header, rows) -> None:
-    import csv
-
-    from .ingest import _open_sink
-
-    handle, owned = _open_sink(sink)
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        handle.flush()
-    finally:
-        if owned:
-            handle.close()
 
 
 def _require_outliers(labeled: LabeledDataset) -> int:

@@ -43,16 +43,14 @@ _BRUTE_CELLS = 1 << 22
 def similarity_from_distance(d, n_d: float):
     """Closed-form similarity n_d / sqrt(d^2 + n_d^2) at Euclidean distance d.
 
-    Evaluated in the ratio form 1 / sqrt(1 + (d / n_d)^2): a zero distance
-    gives exactly 1.0 however small n_d is (n_d * n_d would underflow),
-    and a ratio too large to square gives 0.0.
+    Evaluated as 1 / hypot(d / n_d, 1): a zero distance gives exactly 1.0
+    however small n_d is (n_d * n_d would underflow), and a ratio too
+    large to square still gives its true, tiny similarity.
     """
     d = np.asarray(d, dtype=np.float64)
     with np.errstate(over="ignore"):
         r = np.divide(d, n_d, out=np.empty(d.shape))
-        np.multiply(r, r, out=r)
-    r += 1.0
-    np.sqrt(r, out=r)
+    np.hypot(r, 1.0, out=r)
     np.reciprocal(r, out=r)
     return r[()]  # a scalar for scalar input, else the array
 

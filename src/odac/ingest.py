@@ -1,4 +1,7 @@
-"""Dataset I/O and preprocessing: CSV read/write, min-max scaling.
+"""Dataset I/O and preprocessing: every CSV read and write, min-max scaling.
+
+Datasets, scores and the evaluation reports are all written by
+`_write_rows`; both readers share the row loop `_read_table`.
 
 CSV conventions: UTF-8, comma separated, decimal numbers. An optional
 header row names the columns; an optional label column holds 0 (normal)
@@ -56,34 +59,22 @@ def preprocess(data: Dataset, spec: PreprocessSpec) -> Dataset:
 
 
 def _text_lines(source: Source):
-    """Yield decoded lines from a path, text stream, or byte stream."""
+    """Yield decoded lines from a path, text stream, or byte stream.
+
+    A byte stream's wrapper is detached at the end, leaving the stream open.
+    """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             yield from handle
     elif isinstance(source, io.TextIOBase):
         yield from source
     else:
-        yield from io.TextIOWrapper(source, encoding="utf-8", newline="")
+        wrapper = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            yield from wrapper
+        finally:
+            wrapper.detach()
 
-
-def _open_sink(sink: Source):
-    if isinstance(sink, (str, os.PathLike)):
-        return open(sink, "w", encoding="utf-8", newline=""), True
-    if isinstance(sink, io.TextIOBase):
-        return sink, False
-    return io.TextIOWrapper(sink, encoding="utf-8", newline=""), False
-
-
-def _parse_rows(source: Source):
-    """(line_number, fields) for every non-empty CSV row."""
-    rows = []
-    for line_no, fields in enumerate(csv.reader(_text_lines(source)), start=1):
-        if not fields or all(f.strip() == "" for f in fields):
-            continue
-        rows.append((line_no, fields))
-    if not rows:
-        raise ParseError(0, 0, "empty input")
-    return rows
 
 def _parse_float(text: str, line_no: int, field_no: int) -> float:
     try:
@@ -112,6 +103,58 @@ def _resolve_label_column(label_column, header, width, line_no):
     return idx
 
 
+def _read_table(source: Source, has_header: bool, label_column, text_labels: bool):
+    """The row loop both readers share: (features, labels) of a CSV.
+
+    Blank rows and the header are skipped. Cells are parsed in file
+    order, so the first bad one is reported. The label column, if any,
+    is left out of the float features and returned per row: 0/1 flags as
+    a bool array, or stripped text with text_labels; labels is None
+    without a label column.
+    """
+    rows = [
+        (line_no, fields)
+        for line_no, fields in enumerate(csv.reader(_text_lines(source)), start=1)
+        if any(f.strip() for f in fields)
+    ]
+    if not rows:
+        raise ParseError(0, 0, "empty input")
+    header = None
+    if has_header:
+        header = [f.strip() for f in rows[0][1]]
+        rows = rows[1:]
+        if not rows:
+            raise ParseError(0, 0, "no data rows after header")
+    width = len(rows[0][1])
+    label_idx = None
+    if label_column is not None:
+        label_idx = _resolve_label_column(label_column, header, width, rows[0][0])
+    text_idx = label_idx if text_labels else None
+
+    points = np.empty((len(rows), width - (label_idx is not None)))
+    flags = np.empty(len(rows), dtype=bool)
+    texts = []
+    for r, (line_no, fields) in enumerate(rows):
+        if len(fields) != width:
+            raise RaggedRows(line_no, width, len(fields))
+        c = 0
+        for f, cell in enumerate(fields):
+            if f == text_idx:
+                texts.append(cell.strip())
+                continue
+            value = _parse_float(cell.strip(), line_no, f + 1)
+            if f == label_idx:
+                if value not in (0.0, 1.0):
+                    raise ParseError(line_no, f + 1, f"label must be 0 or 1, got {cell!r}")
+                flags[r] = bool(value)
+            else:
+                points[r, c] = value
+                c += 1
+    if label_idx is None:
+        return points, None
+    return points, texts if text_labels else flags
+
+
 def read_csv(
     source: Source,
     has_header: bool = False,
@@ -133,36 +176,9 @@ def read_csv(
         TooFewPoints / TooFewDimensions / NonFiniteValue: Validation of
             the parsed matrix.
     """
-    rows = _parse_rows(source)
-    header = None
-    if has_header:
-        header = [f.strip() for f in rows[0][1]]
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(0, 0, "no data rows after header")
-    width = len(rows[0][1])
-    label_idx = None
-    if label_column is not None:
-        label_idx = _resolve_label_column(label_column, header, width, rows[0][0])
-
-    points = np.empty((len(rows), width - (label_idx is not None)))
-    flags = np.empty(len(rows), dtype=bool)
-    for r, (line_no, fields) in enumerate(rows):
-        if len(fields) != width:
-            raise RaggedRows(line_no, width, len(fields))
-        c = 0
-        for f, cell in enumerate(fields):
-            value = _parse_float(cell.strip(), line_no, f + 1)
-            if f == label_idx:
-                if value not in (0.0, 1.0):
-                    raise ParseError(line_no, f + 1, f"label must be 0 or 1, got {cell!r}")
-                flags[r] = bool(value)
-            else:
-                points[r, c] = value
-                c += 1
-
+    points, flags = _read_table(source, has_header, label_column, text_labels=False)
     data = validate_dataset(Dataset(points))
-    if label_idx is None:
+    if flags is None:
         return data
     return LabeledDataset(data, flags)
 
@@ -175,27 +191,36 @@ def read_species_table(
     Suited to UCI-style files such as iris.data, where the last field is
     the species name. Row order within each group is preserved.
     """
-    rows = _parse_rows(source)
-    if has_header:
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(0, 0, "no data rows after header")
-    width = len(rows[0][1])
-    label_idx = label_column if label_column >= 0 else label_column + width
-    if not 0 <= label_idx < width:
-        raise ParseError(rows[0][0], 0, f"label column {label_column} out of range")
-    groups: dict[str, list[list[float]]] = {}
-    for line_no, fields in rows:
-        if len(fields) != width:
-            raise RaggedRows(line_no, width, len(fields))
-        label = fields[label_idx].strip()
-        features = [
-            _parse_float(cell.strip(), line_no, f + 1)
-            for f, cell in enumerate(fields)
-            if f != label_idx
-        ]
-        groups.setdefault(label, []).append(features)
-    return {label: np.asarray(rows_) for label, rows_ in groups.items()}
+    features, names = _read_table(source, has_header, label_column, text_labels=True)
+    column = np.asarray(names)
+    return {name: features[column == name] for name in dict.fromkeys(names)}
+
+
+def _write_rows(sink: Source, header, rows) -> None:
+    """Write CSV rows to a path or stream, after a header row unless None.
+
+    A path is opened and closed here. A caller's stream is flushed and
+    left open; a byte stream is written through a UTF-8 wrapper that is
+    detached afterwards, so the wrapper never closes it.
+    """
+    owned = isinstance(sink, (str, os.PathLike))
+    if owned:
+        handle = open(sink, "w", encoding="utf-8", newline="")
+    elif isinstance(sink, io.TextIOBase):
+        handle = sink
+    else:
+        handle = io.TextIOWrapper(sink, encoding="utf-8", newline="")
+    try:
+        writer = csv.writer(handle, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+        handle.flush()
+    finally:
+        if owned:
+            handle.close()
+        elif handle is not sink:
+            handle.detach()
 
 
 def write_csv(
@@ -204,23 +229,11 @@ def write_csv(
     """Write a dataset as CSV, with a trailing `label` column when labeled."""
     labeled = isinstance(data, LabeledDataset)
     dataset = data.data if labeled else data
-    handle, owned = _open_sink(sink)
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        if header:
-            names = [f"x{j + 1}" for j in range(dataset.n)]
-            if labeled:
-                names.append("label")
-            writer.writerow(names)
-        for i in range(dataset.q):
-            row = [repr(float(v)) for v in dataset.points[i]]
-            if labeled:
-                row.append("1" if data.is_outlier[i] else "0")
-            writer.writerow(row)
-        handle.flush()
-    finally:
-        if owned:
-            handle.close()
+    names = [f"x{j + 1}" for j in range(dataset.n)] + (["label"] if labeled else [])
+    rows = ([repr(float(v)) for v in point] for point in dataset.points)
+    if labeled:
+        rows = (row + ["1" if f else "0"] for row, f in zip(rows, data.is_outlier))
+    _write_rows(sink, names if header else None, rows)
 
 
 def write_scores(report: ScoreReport, sink: Source) -> None:
@@ -229,13 +242,8 @@ def write_scores(report: ScoreReport, sink: Source) -> None:
     Scores carry 12 significant digits; rank runs 1..q with the
     strongest outlier candidate first.
     """
-    handle, owned = _open_sink(sink)
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["index", "score", "rank"])
-        for rank, point in enumerate(report.ranking, start=1):
-            writer.writerow([int(point), format(report.scores[point], ".12g"), rank])
-        handle.flush()
-    finally:
-        if owned:
-            handle.close()
+    rows = (
+        [int(point), format(report.scores[point], ".12g"), rank]
+        for rank, point in enumerate(report.ranking, start=1)
+    )
+    _write_rows(sink, ["index", "score", "rank"], rows)

@@ -59,24 +59,35 @@ def observation_point(measured: np.ndarray, n_d: float) -> np.ndarray:
 def cosine_similarity(o: np.ndarray, xi: np.ndarray, xj: np.ndarray) -> float:
     """Similarity between the vectors o -> xi and o -> xj, in (0, 1].
 
-    Evaluates the absolute-value form directly on the n+1 coordinates.
-    The denominator can never vanish: both difference vectors carry the
-    full n_d offset in the added coordinate, so even duplicate points are
-    safe (and score exactly 1.0).
+    Evaluates the absolute-value form directly on the n+1 coordinates,
+    after dividing each vector by its largest component (cosine
+    similarity does not change under that scaling). The denominator can
+    never vanish: both difference vectors carry the full n_d offset in
+    the added coordinate, so even duplicate points are safe (and score
+    exactly 1.0), and the scaling keeps the products from overflowing or
+    underflowing at extreme n_d or coordinates.
     """
     o = np.asarray(o, dtype=np.float64)
     di = np.abs(o - np.asarray(xi, dtype=np.float64))
     dj = np.abs(o - np.asarray(xj, dtype=np.float64))
+    di /= di.max()
+    dj /= dj.max()
     numer = float(di @ dj)
     denom = float(np.linalg.norm(di) * np.linalg.norm(dj))
     return numer / denom
 
 
 def _similarity_row(aug: np.ndarray, i: int, n_d: float) -> np.ndarray:
-    """S_ij for all j at once (entry j == i is 1.0 and must be dropped)."""
+    """S_ij for all j at once (entry j == i is 1.0 and must be dropped).
+
+    Each difference vector is divided by its largest component, as in
+    `cosine_similarity`; its n_d entry keeps that divisor above 0.
+    """
     o = observation_point(aug[i], n_d)
     to_measured = np.abs(o - aug[i])
     to_refs = np.abs(o - aug)
+    to_measured /= to_measured.max()
+    to_refs /= to_refs.max(axis=1, keepdims=True)
     numer = to_refs @ to_measured
     denom = np.linalg.norm(to_measured) * np.linalg.norm(to_refs, axis=1)
     return numer / denom

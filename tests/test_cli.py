@@ -74,6 +74,21 @@ def test_scorers_agree_on_ranking(tmp_path):
     assert outs["fast"] == outs["naive"]
 
 
+def test_scorers_agree_at_tiny_n_d(tmp_path):
+    scene = tmp_path / "dup.csv"
+    scene.write_text("0,0\n0,0\n1,0\n0,2\n")
+    outs = {}
+    for scorer in ("fast", "naive"):
+        out = tmp_path / f"{scorer}.csv"
+        assert main(["score", "--in", str(scene), "--nd", "1e-170", "--sn", "2",
+                     "--scorer", scorer, "--out", str(out)]) == 0
+        outs[scorer] = out.read_text()
+    assert outs["fast"] == outs["naive"]
+    assert [line.split(",")[0] for line in outs["fast"].splitlines()[1:]] == [
+        "3", "2", "0", "1"
+    ]
+
+
 def test_score_missing_file(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     code = main(["score", "--in", str(missing), "--nd", "5", "--sn", "8"])

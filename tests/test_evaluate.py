@@ -6,10 +6,12 @@ import pytest
 
 from odac import (
     Dataset,
+    EvalReport,
     LabeledDataset,
     NoOutliersLabeled,
     Params,
     ScoreReport,
+    SweepReport,
     SyntheticSpec,
     ascending_ranking,
     donor_trials_accuracy,
@@ -125,6 +127,14 @@ class TestRunTrials:
         fast = run_trials(spec, params, trials=10, scorer=score_all_fast)
         naive = run_trials(spec, params, trials=10, scorer=score_all_naive)
         assert fast == naive
+
+    def test_csv_render(self, tmp_path):
+        report = EvalReport(trial_count=8, success_count=6)
+        sink = io.StringIO()
+        report.to_csv(sink)
+        assert sink.getvalue() == "trials,successes,accuracy\n8,6,0.750000\n"
+        report.to_csv(tmp_path / "trials.csv")
+        assert (tmp_path / "trials.csv").read_text() == sink.getvalue()
 
 
 class TestPercentileRecall:
@@ -286,6 +296,13 @@ class TestSweep:
         lines = sink.getvalue().splitlines()
         assert lines[0] == "n_d,worst_outlier_rank"
         assert len(lines) == 3
+
+    def test_csv_leaves_byte_stream_open(self):
+        report = SweepReport(parameter="s_n", curve=((2, 5), (4, 3)))
+        sink = io.BytesIO()
+        report.to_csv(sink)
+        assert not sink.closed
+        assert sink.getvalue() == b"s_n,worst_outlier_rank\n2,5\n4,3\n"
 
 
 class TestDonorTrials:

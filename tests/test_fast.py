@@ -23,6 +23,11 @@ def test_transform_at_zero_distance():
     assert similarity_from_distance(0.0, 1e-170) == 1.0
 
 
+def test_transform_past_square_overflow():
+    # (d / n_d)^2 overflows here; the similarity is still n_d / d.
+    assert similarity_from_distance(1.0, 1e-170) == pytest.approx(1e-170, rel=1e-12, abs=0)
+
+
 def test_transform_decreasing():
     d = np.linspace(0.0, 50.0, 200)
     s = similarity_from_distance(d, 5.0)
@@ -122,7 +127,18 @@ class TestScoreAllFast:
         # n_d * n_d underflows to 0 here; the twins must still see S = 1.
         data = Dataset(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
         report = score_all_fast(data, Params(n_d=1e-170, s_n=1))
-        assert report.scores.tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert report.scores[:2].tolist() == [1.0, 1.0]
+        # The others keep their true, tiny similarities n_d / d.
+        np.testing.assert_allclose(report.scores[2:], [1e-170, 5e-171], rtol=1e-12)
+        assert report.ranking.tolist() == [3, 2, 0, 1]
+
+    def test_naive_agrees_at_tiny_n_d(self):
+        data = Dataset(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
+        params = Params(n_d=1e-170, s_n=2)
+        fast_report = score_all_fast(data, params)
+        naive_report = score_all_naive(data, params)
+        np.testing.assert_allclose(fast_report.scores, naive_report.scores, rtol=1e-9)
+        assert fast_report.ranking.tolist() == naive_report.ranking.tolist() == [3, 2, 0, 1]
 
     def test_top_r_capped(self):
         data = Dataset(np.zeros((4, 2)))

@@ -83,6 +83,13 @@ def test_read_byte_stream():
     assert data.q == 3
 
 
+def test_read_leaves_byte_stream_open():
+    source = io.BytesIO(b"1,2\n3,4\n5,6\n")
+    read_csv(source)
+    assert not source.closed
+    assert source.getvalue() == b"1,2\n3,4\n5,6\n"
+
+
 def test_empty_file_rejected():
     with pytest.raises(ParseError):
         read_csv(io.StringIO(""))
@@ -122,6 +129,24 @@ def test_species_table_groups_rows():
     assert groups["Iris-virginica"][0].tolist() == [6.3, 3.3, 6.0, 2.5]
 
 
+@pytest.mark.parametrize(
+    "text, kwargs, error, line, field",
+    [
+        ("5.1,3.5,a\n4.9,3.0,1.4,b\n", {}, RaggedRows, 2, None),
+        ("5.1,3.5,a\n4.9,x,b\n", {}, ParseError, 2, 2),
+        ("f1,f2,species\n", {"has_header": True}, ParseError, 0, 0),
+        ("5.1,3.5,a\n4.9,3.0,b\n", {"label_column": 3}, ParseError, 1, 0),
+        ("5.1,3.5,a\n4.9,3.0,b\n", {"label_column": -4}, ParseError, 1, 0),
+    ],
+    ids=["ragged", "bad-cell", "header-only", "label-past-end", "label-before-start"],
+)
+def test_species_table_errors_located(text, kwargs, error, line, field):
+    with pytest.raises(error) as err:
+        read_species_table(io.StringIO(text), **kwargs)
+    assert err.value.line == line
+    assert getattr(err.value, "column", None) == field
+
+
 def test_write_scores_format():
     report = ScoreReport(
         scores=np.array([0.31, 0.12, 0.25]),
@@ -136,6 +161,22 @@ def test_write_scores_format():
     assert ranks == [1, 2, 3]
     indices = [int(line.split(",")[0]) for line in lines[1:]]
     assert indices == [1, 2, 0]
+
+
+def test_write_scores_leaves_byte_stream_open():
+    report = ScoreReport(scores=np.array([0.5, 0.25]), ranking=np.array([1, 0]))
+    sink = io.BytesIO()
+    write_scores(report, sink)
+    assert not sink.closed
+    assert sink.getvalue() == b"index,score,rank\n1,0.25,1\n0,0.5,2\n"
+
+
+def test_write_csv_leaves_byte_stream_open():
+    data = Dataset(np.array([[1.0, 2.5], [3.0, 4.0], [-5.0, 6.0]]))
+    sink = io.BytesIO()
+    write_csv(data, sink)
+    assert not sink.closed
+    assert sink.getvalue() == b"x1,x2\n1.0,2.5\n3.0,4.0\n-5.0,6.0\n"
 
 
 def test_write_scores_roundtrip_preserves_ranking():
