@@ -62,7 +62,6 @@ from .naive import (
     cosine_similarity,
     observation_point,
     score_all_naive,
-    score_point,
 )
 from .types import (
     DEFAULT_N_D,
@@ -114,7 +113,6 @@ __all__ = [
     "run_trials",
     "score_all_fast",
     "score_all_naive",
-    "score_point",
     "scores_from_distances",
     "similarity_from_distance",
     "sweep",

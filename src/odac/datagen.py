@@ -29,9 +29,6 @@ class SyntheticSpec:
             anomalies stay strictly outside the cluster.
         shell_max: Outer shell bound as a multiple of R.
         seed: RNG seed; an int or a tuple of ints.
-        center: Optional translation applied to the whole scene (the
-            scorer is translation-invariant, so this only moves labels
-            of convenience like "the origin").
     """
 
     dim: int
@@ -41,7 +38,6 @@ class SyntheticSpec:
     shell_min: float = 1.1
     shell_max: float = 3.0
     seed: "int | tuple[int, ...]" = 0
-    center: "tuple[float, ...] | None" = None
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -58,11 +54,6 @@ class SyntheticSpec:
             raise ValueError(
                 f"shell_max must exceed shell_min, got {self.shell_max}"
             )
-        if self.center is not None:
-            center = tuple(float(c) for c in self.center)
-            if len(center) != self.dim:
-                raise ValueError(f"center must have {self.dim} coordinates")
-            object.__setattr__(self, "center", center)
 
 
 def _radial_points(rng, count, dim, draw_radius, lo, hi):
@@ -94,7 +85,7 @@ def generate(spec: SyntheticSpec) -> LabeledDataset:
     Returns:
         LabeledDataset with normal points first, then anomalies flagged
         True. min anomaly norm >= shell_min * R > R >= max normal norm
-        (relative to the scene center).
+        (the scene is centred on the origin).
     """
     rng = np.random.default_rng(spec.seed)
     normals = _radial_points(
@@ -116,8 +107,6 @@ def generate(spec: SyntheticSpec) -> LabeledDataset:
         hi,
     )
     points = np.vstack([normals, anomalies])
-    if spec.center is not None:
-        points = points + np.asarray(spec.center)
     flags = np.zeros(len(points), dtype=bool)
     flags[spec.normal_count :] = True
     return LabeledDataset(Dataset(points), flags)

@@ -6,8 +6,7 @@ paths are interchangeable):
 
   * exact-set accuracy: a trial succeeds iff the k lowest-scored points
     are exactly the k true outliers. This is the strictest coherent
-    reading of "accurate recognition"; pass top_k for the looser
-    containment variant.
+    reading of "accurate recognition".
   * percentile recall: outliers tallied per bucket of the ascending
     score ranking (bucket b covers ranks floor(b*q*w/100)+1 through
     floor((b+1)*q*w/100) for width w%).
@@ -145,22 +144,11 @@ def exact_set_accuracy(
     labeled: LabeledDataset,
     params: Params,
     scorer: Scorer = score_all_fast,
-    top_k: "int | None" = None,
 ) -> bool:
-    """One trial: are all true outliers among the top_k lowest scores?
-
-    With top_k at its default (the labeled outlier count k) this is the
-    exact-set criterion: the k lowest-scored points are exactly the true
-    outliers. A larger top_k gives the containment variant.
-    """
+    """One trial: are the k lowest-scored points exactly the k true outliers?"""
     k = _require_outliers(labeled)
-    if top_k is None:
-        top_k = k
-    if not k <= top_k < labeled.q:
-        raise ValueError(f"top_k must lie in [{k}, {labeled.q - 1}], got {top_k}")
     report = scorer(labeled.data, params)
-    lowest = report.ranking[:top_k]
-    return bool(np.isin(labeled.outlier_indices, lowest).all())
+    return bool(np.isin(labeled.outlier_indices, report.ranking[:k]).all())
 
 
 def run_trials(

@@ -30,7 +30,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidTopR
-from .types import Dataset, Params, ScoreReport, ascending_ranking, validate_dataset
+from .types import Dataset, Params, ScoreReport, validate_dataset
 
 # kd-tree pruning degrades as dimensionality grows; past this width a
 # blocked brute-force scan is both simpler and faster.
@@ -56,16 +56,25 @@ def similarity_from_distance(d, n_d: float):
 
 
 class NeighborIndex:
-    """Immutable exact k-NN index over the original n-dimensional points."""
+    """Immutable exact k-NN index over the original n-dimensional points.
+
+    The kd-tree and cdist square coordinate differences, which overflow
+    past about 1e154 and go subnormal below about 1e-154. So the index
+    holds the points scaled by the power of two 2**-e that brings the
+    largest magnitude into [0.5, 1), and scales distances back by 2**e.
+    Both steps are exact, so distances at ordinary scales are unchanged
+    bit for bit.
+    """
 
     def __init__(self, points: np.ndarray, method: str = "auto") -> None:
         if method == "auto":
             method = "tree" if points.shape[1] <= _TREE_MAX_DIM else "brute"
         if method not in ("tree", "brute"):
             raise ValueError(f"unknown index method {method!r}")
-        self._points = points
+        self._exp = int(np.frexp(np.abs(points).max(initial=0.0))[1])
+        self._points = np.ldexp(points, -self._exp)
         self._method = method
-        self._tree = cKDTree(points) if method == "tree" else None
+        self._tree = cKDTree(self._points) if method == "tree" else None
 
     @property
     def method(self) -> str:
@@ -88,7 +97,7 @@ class NeighborIndex:
             # distances (a duplicate twin may stand in for self, at the
             # same distance 0).
             dist = self._tree.query(self._points, k=k + 1, workers=-1)[0]
-            return dist[:, 1:]
+            return np.ldexp(dist, self._exp, out=dist)[:, 1:]
         out = np.empty((q, k))
         rows = max(1, _BRUTE_CELLS // q)
         for start in range(0, q, rows):
@@ -99,7 +108,7 @@ class NeighborIndex:
             part = dist[:, :k]
             part.sort(axis=1)
             out[start:stop] = part
-        return out
+        return np.ldexp(out, self._exp, out=out)
 
 
 def neighbor_distances(data: Dataset, k: int) -> np.ndarray:
@@ -132,7 +141,7 @@ def scores_from_distances(dist: np.ndarray, params: Params) -> ScoreReport:
     # Rows are descending (distances ascending); reverse so the sum
     # accumulates ascending values like the reference scorer.
     scores = sims[:, ::-1].sum(axis=1)
-    return ScoreReport(scores=scores, ranking=ascending_ranking(scores))
+    return ScoreReport(scores)
 
 
 def score_all_fast(data: Dataset, params: Params) -> ScoreReport:

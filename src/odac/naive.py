@@ -24,11 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidTopR
-from .types import Dataset, Params, ScoreReport, ascending_ranking, validate_dataset
+from .types import Dataset, Params, ScoreReport, validate_dataset
 
 
 def augment(data: Dataset) -> np.ndarray:
-    """Append a zero coordinate to every point.
+    """Validate the dataset and append a zero coordinate to every point.
 
     Returns:
         A (q, n+1) array whose row i is the lifted point X_i.
@@ -56,7 +56,7 @@ def observation_point(measured: np.ndarray, n_d: float) -> np.ndarray:
     return out
 
 
-def cosine_similarity(o: np.ndarray, xi: np.ndarray, xj: np.ndarray) -> float:
+def cosine_similarity(o: np.ndarray, xi: np.ndarray, xj: np.ndarray):
     """Similarity between the vectors o -> xi and o -> xj, in (0, 1].
 
     Evaluates the absolute-value form directly on the n+1 coordinates,
@@ -66,53 +66,25 @@ def cosine_similarity(o: np.ndarray, xi: np.ndarray, xj: np.ndarray) -> float:
     the added coordinate, so even duplicate points are safe (and score
     exactly 1.0), and the scaling keeps the products from overflowing or
     underflowing at extreme n_d or coordinates.
+
+    Args:
+        o: Observation point, length n+1.
+        xi: Lifted measured point, length n+1.
+        xj: One lifted reference point (length n+1), or an (m, n+1)
+            matrix of them.
+
+    Returns:
+        A float for one reference point, else an array of m similarities.
+        A point gets the same bits whichever way it is passed.
     """
     o = np.asarray(o, dtype=np.float64)
+    xj = np.asarray(xj, dtype=np.float64)
     di = np.abs(o - np.asarray(xi, dtype=np.float64))
-    dj = np.abs(o - np.asarray(xj, dtype=np.float64))
+    dj = np.abs(o - np.atleast_2d(xj))
     di /= di.max()
-    dj /= dj.max()
-    numer = float(di @ dj)
-    denom = float(np.linalg.norm(di) * np.linalg.norm(dj))
-    return numer / denom
-
-
-def _similarity_row(aug: np.ndarray, i: int, n_d: float) -> np.ndarray:
-    """S_ij for all j at once (entry j == i is 1.0 and must be dropped).
-
-    Each difference vector is divided by its largest component, as in
-    `cosine_similarity`; its n_d entry keeps that divisor above 0.
-    """
-    o = observation_point(aug[i], n_d)
-    to_measured = np.abs(o - aug[i])
-    to_refs = np.abs(o - aug)
-    to_measured /= to_measured.max()
-    to_refs /= to_refs.max(axis=1, keepdims=True)
-    numer = to_refs @ to_measured
-    denom = np.linalg.norm(to_measured) * np.linalg.norm(to_refs, axis=1)
-    return numer / denom
-
-
-def _check_top_r(s_n: int, q: int) -> None:
-    if s_n > q - 1:
-        raise InvalidTopR(f"s_n = {s_n} but only {q - 1} reference points exist")
-
-
-def _top_r_sum(sims: np.ndarray, s_n: int) -> float:
-    # Largest s_n values, ties at the cut resolved by ascending index;
-    # accumulated in ascending order so the result is schedule-independent.
-    top = sims[np.argsort(-sims, kind="stable")[:s_n]]
-    return float(np.sum(np.sort(top)))
-
-
-def score_point(data: Dataset, i: int, params: Params) -> float:
-    """Score a single point: the sum of its s_n largest similarities."""
-    validate_dataset(data)
-    _check_top_r(params.s_n, data.q)
-    if not 0 <= i < data.q:
-        raise IndexError(f"point index {i} out of range for q = {data.q}")
-    sims = _similarity_row(augment(data), i, params.n_d)
-    return _top_r_sum(np.delete(sims, i), params.s_n)
+    dj /= dj.max(axis=1, keepdims=True)
+    sims = (dj @ di) / (np.linalg.norm(di) * np.linalg.norm(dj, axis=1))
+    return float(sims[0]) if xj.ndim == 1 else sims
 
 
 def score_all_naive(data: Dataset, params: Params) -> ScoreReport:
@@ -123,13 +95,18 @@ def score_all_naive(data: Dataset, params: Params) -> ScoreReport:
         params: Scoring knobs; requires s_n <= q - 1.
 
     Returns:
-        ScoreReport with scores[i] in (0, s_n] and the ascending ranking.
+        ScoreReport with scores[i] in (0, s_n].
     """
-    validate_dataset(data)
-    _check_top_r(params.s_n, data.q)
     aug = augment(data)
+    if params.s_n > data.q - 1:
+        raise InvalidTopR(
+            f"s_n = {params.s_n} but only {data.q - 1} reference points exist"
+        )
     scores = np.empty(data.q)
-    for i in range(data.q):
-        sims = _similarity_row(aug, i, params.n_d)
-        scores[i] = _top_r_sum(np.delete(sims, i), params.s_n)
-    return ScoreReport(scores=scores, ranking=ascending_ranking(scores))
+    for i, xi in enumerate(aug):
+        o = observation_point(xi, params.n_d)
+        sims = np.delete(cosine_similarity(o, xi, aug), i)  # S_ii = 1 is no neighbour
+        # The s_n largest values, accumulated in ascending order so the
+        # result is schedule-independent.
+        scores[i] = np.sum(np.sort(sims)[-params.s_n :])
+    return ScoreReport(scores)

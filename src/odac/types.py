@@ -7,7 +7,7 @@ to share across concurrent readers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,8 +87,8 @@ class Params:
 def ascending_ranking(scores: np.ndarray) -> np.ndarray:
     """Point indices sorted by score ascending, ties by ascending index.
 
-    The single place the ranking tie rule lives; every scorer must use it
-    so runs are reproducible and interchangeable.
+    The single place the ranking tie rule lives; ScoreReport derives every
+    ranking with it, so runs are reproducible and scorers interchangeable.
     """
     return np.argsort(scores, kind="stable")
 
@@ -98,26 +98,21 @@ class ScoreReport:
     """Per-point anomaly scores plus the ascending-score ranking.
 
     Lower scores mark more outlying points: ranking[0] is the strongest
-    outlier candidate. Ties are broken by ascending point index. Scores
-    must be finite.
+    outlier candidate. The ranking is derived from the scores, ties broken
+    by ascending point index. Scores must be finite.
     """
 
     scores: np.ndarray
-    ranking: np.ndarray
+    ranking: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         scores = _frozen_array(self.scores, np.float64)
-        ranking = _frozen_array(self.ranking, np.intp)
-        q = scores.shape[0]
-        if scores.ndim != 1 or ranking.shape != (q,):
-            raise ValueError("scores and ranking must be 1-D of equal length")
+        if scores.ndim != 1:
+            raise ValueError(f"scores must be 1-D, got shape {scores.shape}")
         if not np.isfinite(scores).all():
             raise ValueError("scores must be finite")
-        counts = np.bincount(ranking, minlength=q) if q else np.empty(0)
-        if q and (ranking.min() < 0 or ranking.max() >= q or counts.max() != 1):
-            raise ValueError("ranking is not a permutation of 0..q-1")
-        if np.any(np.diff(scores[ranking]) < 0):
-            raise ValueError("ranking is not ascending in score")
+        ranking = ascending_ranking(scores)
+        ranking.setflags(write=False)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "ranking", ranking)
 

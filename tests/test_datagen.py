@@ -17,7 +17,6 @@ def norms(points):
         dict(dim=3, normal_count=10, anomaly_count=1, radius=0.0),
         dict(dim=3, normal_count=10, anomaly_count=1, shell_min=1.0),
         dict(dim=3, normal_count=10, anomaly_count=1, shell_min=1.5, shell_max=1.2),
-        dict(dim=3, normal_count=10, anomaly_count=1, center=(0.0, 0.0)),
     ],
 )
 def test_spec_validation(kwargs):
@@ -88,13 +87,3 @@ def test_seed_changes_scene():
 def test_tuple_seed_accepted():
     spec = SyntheticSpec(dim=2, normal_count=10, anomaly_count=2, seed=(7, 3))
     assert generate(spec).q == 12
-
-
-def test_center_translates_scene():
-    base = SyntheticSpec(dim=2, normal_count=30, anomaly_count=3, seed=4)
-    moved = SyntheticSpec(
-        dim=2, normal_count=30, anomaly_count=3, seed=4, center=(10.0, -5.0)
-    )
-    a = generate(base).data.points
-    b = generate(moved).data.points
-    np.testing.assert_allclose(b - np.array([10.0, -5.0]), a, atol=1e-12)

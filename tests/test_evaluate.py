@@ -13,7 +13,6 @@ from odac import (
     ScoreReport,
     SweepReport,
     SyntheticSpec,
-    ascending_ranking,
     donor_trials_accuracy,
     enumerate_outlier_trials,
     exact_set_accuracy,
@@ -41,7 +40,7 @@ def fixed_scorer(scores):
     """A stub scorer returning canned scores, for protocol-only tests."""
 
     def scorer(data, params):
-        return ScoreReport(scores=scores, ranking=ascending_ranking(scores))
+        return ScoreReport(scores)
 
     return scorer
 
@@ -64,16 +63,6 @@ class TestExactSet:
         labeled = generate(SyntheticSpec(dim=2, normal_count=10, anomaly_count=0))
         with pytest.raises(NoOutliersLabeled):
             exact_set_accuracy(labeled, Params(n_d=1.0, s_n=3))
-
-    def test_containment_variant_is_laxer(self):
-        scores = np.array([5.0, 0.1, 0.2, 0.3, 4.0, 6.0])
-        flags = [False, True, False, True, False, False]
-        labeled = LabeledDataset(Dataset(np.zeros((6, 2))), flags)
-        scorer = fixed_scorer(scores)
-        params = Params(n_d=1.0, s_n=1)
-        # outliers rank 1st and 3rd: exact-set (k=2) fails, top-3 holds
-        assert exact_set_accuracy(labeled, params, scorer) is False
-        assert exact_set_accuracy(labeled, params, scorer, top_k=3) is True
 
     def test_invariant_under_row_permutation(self):
         labeled = separated_scene(seed=5)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from odac import (
     Dataset,
@@ -13,7 +15,7 @@ from odac import (
 )
 from odac import fast
 from odac.fast import NeighborIndex
-from odac.naive import _similarity_row, augment
+from odac.naive import augment, cosine_similarity, observation_point
 
 from conftest import random_dataset
 
@@ -168,12 +170,44 @@ class TestScoreAllFast:
         dist = neighbor_distances(data, s_n)
         aug = augment(data)
         for i in range(data.q):
-            sims = _similarity_row(aug, i, n_d)
+            sims = cosine_similarity(observation_point(aug[i], n_d), aug[i], aug)
             sims[i] = -np.inf
             top = np.sort(sims)[::-1][:s_n]
             np.testing.assert_allclose(
                 top, similarity_from_distance(dist[i], n_d), rtol=1e-12
             )
+
+
+@given(
+    exponent=st.floats(-300.0, 300.0),
+    nd_ratio=st.floats(0.05, 20.0),
+    dim=st.sampled_from([3, 32]),  # the kd-tree path and the brute path
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.integers(-16, 16),
+)
+@example(exponent=160.0, nd_ratio=0.5, dim=3, seed=0, shift=3)
+@example(exponent=-160.0, nd_ratio=0.5, dim=3, seed=0, shift=-3)
+@example(exponent=300.0, nd_ratio=0.5, dim=32, seed=1, shift=5)
+@settings(max_examples=100, deadline=None)
+def test_extreme_coordinate_scales(exponent, nd_ratio, dim, seed, shift):
+    """From 1e-300 to 1e300 scores stay in (0, s_n] and match the oracle."""
+    scale = 10.0**exponent
+    # Coordinates in [scale, 2 * scale), so every input is a normal float.
+    points = scale * np.random.default_rng(seed).uniform(1.0, 2.0, (8, dim))
+    params = Params(n_d=nd_ratio * scale, s_n=3)
+    report = score_all_fast(Dataset(points), params)
+    assert np.all((report.scores > 0.0) & (report.scores <= params.s_n))
+    naive = score_all_naive(Dataset(points), params)
+    np.testing.assert_allclose(report.scores, naive.scores, rtol=1e-9, atol=0)
+    # Same ranking up to float ties: the oracle's scores, read in the
+    # fast ranking's order, never fall by more than noise.
+    assert np.all(np.diff(naive.scores[report.ranking]) >= -1e-9 * params.s_n)
+    # Scaling data and n_d by one power of two changes no bit.
+    factor = 2.0**shift
+    scaled = score_all_fast(
+        Dataset(points * factor), Params(n_d=params.n_d * factor, s_n=params.s_n)
+    )
+    assert np.array_equal(scaled.scores, report.scores)
 
 
 class TestScoresFromDistances:

@@ -15,7 +15,6 @@ from odac import (
     ScoreReport,
     SyntheticSpec,
     TooFewPoints,
-    ascending_ranking,
     generate,
     preprocess,
     read_csv,
@@ -148,10 +147,7 @@ def test_species_table_errors_located(text, kwargs, error, line, field):
 
 
 def test_write_scores_format():
-    report = ScoreReport(
-        scores=np.array([0.31, 0.12, 0.25]),
-        ranking=np.array([1, 2, 0]),
-    )
+    report = ScoreReport(np.array([0.31, 0.12, 0.25]))
     sink = io.StringIO()
     write_scores(report, sink)
     lines = sink.getvalue().splitlines()
@@ -164,7 +160,7 @@ def test_write_scores_format():
 
 
 def test_write_scores_leaves_byte_stream_open():
-    report = ScoreReport(scores=np.array([0.5, 0.25]), ranking=np.array([1, 0]))
+    report = ScoreReport(np.array([0.5, 0.25]))
     sink = io.BytesIO()
     write_scores(report, sink)
     assert not sink.closed
@@ -182,7 +178,7 @@ def test_write_csv_leaves_byte_stream_open():
 def test_write_scores_roundtrip_preserves_ranking():
     rng = np.random.default_rng(32)
     scores = rng.uniform(0.0, 5.0, 25)
-    report = ScoreReport(scores=scores, ranking=ascending_ranking(scores))
+    report = ScoreReport(scores)
     sink = io.StringIO()
     write_scores(report, sink)
     rows = [line.split(",") for line in sink.getvalue().splitlines()[1:]]

@@ -11,7 +11,6 @@ from odac import (
     cosine_similarity,
     observation_point,
     score_all_naive,
-    score_point,
 )
 from odac.fast import similarity_from_distance
 
@@ -85,6 +84,16 @@ class TestCosineSimilarity:
         values = [self._sim([0.0, 0.0], [d, 0.0], 1.0) for d in (1e2, 1e4, 1e6)]
         assert values[0] > values[1] > values[2] > 0.0
 
+    def test_matrix_rows_match_single_calls(self):
+        # One similarity per row, bit for bit what a single call returns.
+        rng = np.random.default_rng(17)
+        aug = augment(random_dataset(rng, 20, 4))
+        o = observation_point(aug[3], 6.0)
+        sims = cosine_similarity(o, aug[3], aug)
+        assert sims.shape == (20,)
+        assert sims[3] == 1.0
+        assert sims.tolist() == [cosine_similarity(o, aug[3], x) for x in aug]
+
     @given(
         st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=8),
         st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=8),
@@ -102,31 +111,32 @@ class TestCosineSimilarity:
 
 
 class TestScorePoint:
+    """One point's score, read from its row of score_all_naive."""
+
     def test_far_point(self):
-        value = score_point(THREE_POINTS, 2, Params(n_d=1.0, s_n=2))
-        assert value == pytest.approx(THREE_POINT_SCORES[2], abs=1e-14)
+        report = score_all_naive(THREE_POINTS, Params(n_d=1.0, s_n=2))
+        assert report.scores[2] == pytest.approx(THREE_POINT_SCORES[2], abs=1e-14)
 
     def test_near_point(self):
-        value = score_point(THREE_POINTS, 0, Params(n_d=1.0, s_n=2))
-        assert value == pytest.approx(THREE_POINT_SCORES[0], abs=1e-14)
+        report = score_all_naive(THREE_POINTS, Params(n_d=1.0, s_n=2))
+        assert report.scores[0] == pytest.approx(THREE_POINT_SCORES[0], abs=1e-14)
 
     def test_full_s_n_sums_everything(self):
         rng = np.random.default_rng(3)
         data = random_dataset(rng, 12, 3)
         aug = augment(data)
         params = Params(n_d=5.0, s_n=11)
+        scores = score_all_naive(data, params).scores
         for i in (0, 7):
             o = observation_point(aug[i], params.n_d)
             sims = [
                 cosine_similarity(o, aug[i], aug[j]) for j in range(12) if j != i
             ]
-            assert score_point(data, i, params) == pytest.approx(
-                sum(sorted(sims)), abs=1e-12
-            )
+            assert scores[i] == pytest.approx(sum(sorted(sims)), abs=1e-12)
 
     def test_top_r_capped(self):
         with pytest.raises(InvalidTopR):
-            score_point(THREE_POINTS, 0, Params(n_d=1.0, s_n=3))
+            score_all_naive(THREE_POINTS, Params(n_d=1.0, s_n=3))
 
 
 class TestScoreAll:
@@ -174,13 +184,12 @@ class TestScoreAll:
         assert np.array_equal(permuted.scores, base.scores[perm])
 
     def test_similarity_order_follows_distance_order(self):
-        from odac.naive import _similarity_row
-
         rng = np.random.default_rng(14)
         data = random_dataset(rng, 60, 5)
         aug = augment(data)
         for i in (0, 31):
-            sims = np.delete(_similarity_row(aug, i, 9.0), i)
+            o = observation_point(aug[i], 9.0)
+            sims = np.delete(cosine_similarity(o, aug[i], aug), i)
             dists = np.delete(
                 np.linalg.norm(data.points - data.points[i], axis=1), i
             )

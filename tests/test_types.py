@@ -80,27 +80,23 @@ class TestParams:
 
 
 class TestScoreReport:
-    def test_ranking_must_be_permutation(self):
-        with pytest.raises(ValueError):
-            ScoreReport(scores=[1.0, 2.0, 3.0], ranking=[0, 0, 2])
-
-    def test_ranking_must_be_ascending(self):
-        with pytest.raises(ValueError):
-            ScoreReport(scores=[1.0, 2.0, 3.0], ranking=[2, 1, 0])
-
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_scores_must_be_finite(self, bad):
-        scores = np.array([1.0, bad, 3.0])
         with pytest.raises(ValueError):
-            ScoreReport(scores=scores, ranking=ascending_ranking(scores))
+            ScoreReport([1.0, bad, 3.0])
 
     def test_tie_break_by_index(self):
         scores = np.array([0.5, 0.2, 0.5, 0.1])
         assert ascending_ranking(scores).tolist() == [3, 1, 0, 2]
 
+    def test_ranking_derived_with_tie_rule(self):
+        report = ScoreReport([0.5, 0.2, 0.5, 0.1])
+        assert report.ranking.tolist() == [3, 1, 0, 2]
+        with pytest.raises(ValueError):
+            report.ranking[0] = 1  # frozen like the scores
+
     def test_rank_positions_inverts_ranking(self):
-        scores = np.array([0.3, 0.1, 0.2])
-        report = ScoreReport(scores=scores, ranking=ascending_ranking(scores))
+        report = ScoreReport([0.3, 0.1, 0.2])
         assert report.rank_positions().tolist() == [3, 1, 2]
 
 
