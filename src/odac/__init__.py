@@ -17,6 +17,10 @@ workloads.
     >>> report = score_all_fast(data, Params(n_d=1.0, s_n=2))
     >>> int(report.ranking[0])  # most outlying point
     2
+
+This namespace holds the input types, the entry points and the typed
+errors. Helpers such as the oracle's `cosine_similarity` or the fast
+path's `neighbor_distances` are imported from their own modules.
 """
 
 from .datagen import SyntheticSpec, generate
@@ -30,39 +34,10 @@ from .errors import (
     TooFewDimensions,
     TooFewPoints,
 )
-from .evaluate import (
-    EvalReport,
-    PercentileBucket,
-    PercentileReport,
-    SweepReport,
-    donor_trials_accuracy,
-    enumerate_outlier_trials,
-    exact_set_accuracy,
-    percentile_recall,
-    run_trials,
-    sweep,
-    worst_outlier_rank,
-)
-from .fast import (
-    neighbor_distances,
-    score_all_fast,
-    scores_from_distances,
-    similarity_from_distance,
-)
-from .ingest import (
-    PreprocessSpec,
-    preprocess,
-    read_csv,
-    read_species_table,
-    write_csv,
-    write_scores,
-)
-from .naive import (
-    augment,
-    cosine_similarity,
-    observation_point,
-    score_all_naive,
-)
+from .evaluate import donor_trials_accuracy, percentile_recall, run_trials, sweep
+from .fast import score_all_fast
+from .ingest import preprocess, read_csv, read_species_table, write_csv, write_scores
+from .naive import score_all_naive
 from .types import (
     DEFAULT_N_D,
     DEFAULT_S_N,
@@ -70,54 +45,39 @@ from .types import (
     LabeledDataset,
     Params,
     ScoreReport,
-    ascending_ranking,
-    validate_dataset,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
+    # input types and defaults
     "DEFAULT_N_D",
     "DEFAULT_S_N",
     "Dataset",
-    "EvalReport",
-    "InvalidTopR",
     "LabeledDataset",
-    "NoOutliersLabeled",
-    "NonFiniteValue",
-    "OdacError",
-    "ParseError",
     "Params",
-    "PercentileBucket",
-    "PercentileReport",
-    "PreprocessSpec",
-    "RaggedRows",
     "ScoreReport",
-    "SweepReport",
     "SyntheticSpec",
-    "TooFewDimensions",
-    "TooFewPoints",
-    "ascending_ranking",
-    "augment",
-    "cosine_similarity",
-    "donor_trials_accuracy",
-    "enumerate_outlier_trials",
-    "exact_set_accuracy",
+    # entry points
+    "score_all_fast",
+    "score_all_naive",
     "generate",
-    "neighbor_distances",
-    "observation_point",
-    "percentile_recall",
     "preprocess",
     "read_csv",
     "read_species_table",
-    "run_trials",
-    "score_all_fast",
-    "score_all_naive",
-    "scores_from_distances",
-    "similarity_from_distance",
-    "sweep",
-    "validate_dataset",
-    "worst_outlier_rank",
     "write_csv",
     "write_scores",
+    "run_trials",
+    "donor_trials_accuracy",
+    "percentile_recall",
+    "sweep",
+    # typed errors
+    "OdacError",
+    "TooFewPoints",
+    "TooFewDimensions",
+    "NonFiniteValue",
+    "InvalidTopR",
+    "ParseError",
+    "RaggedRows",
+    "NoOutliersLabeled",
 ]

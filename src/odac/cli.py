@@ -13,7 +13,7 @@ from . import datagen, evaluate, ingest
 from .errors import OdacError
 from .fast import score_all_fast
 from .naive import score_all_naive
-from .types import DEFAULT_N_D, DEFAULT_S_N, Params
+from .types import DEFAULT_N_D, DEFAULT_S_N, LabeledDataset, Params
 
 _SCORERS = {"fast": score_all_fast, "naive": score_all_naive}
 
@@ -111,33 +111,23 @@ def _label_column(args):
         return args.label_col
 
 
-def _preprocess_spec(args) -> "ingest.PreprocessSpec | None":
-    scale = args.scale
-    if not args.normalize and scale is None:
-        return None
-    if scale is None:
-        scale = 300.0
-    return ingest.PreprocessSpec(normalize=args.normalize, scale=scale)
-
-
 def _read_input(args, need_labels: bool):
     label = _label_column(args)
     if need_labels and label is None:
         raise ValueError("--label-col is required here")
     loaded = ingest.read_csv(args.input, has_header=args.header, label_column=label)
-    spec = _preprocess_spec(args)
-    if spec is None:
+    if not args.normalize and args.scale is None:
         return loaded
-    if isinstance(loaded, ingest.LabeledDataset):
-        return ingest.LabeledDataset(
-            ingest.preprocess(loaded.data, spec), loaded.is_outlier
-        )
-    return ingest.preprocess(loaded, spec)
+    scale = 300.0 if args.scale is None else args.scale
+    if isinstance(loaded, LabeledDataset):
+        scaled = ingest.preprocess(loaded.data, normalize=args.normalize, scale=scale)
+        return LabeledDataset(scaled, loaded.is_outlier)
+    return ingest.preprocess(loaded, normalize=args.normalize, scale=scale)
 
 
 def _cmd_score(args) -> int:
     data = _read_input(args, need_labels=False)
-    if isinstance(data, ingest.LabeledDataset):
+    if isinstance(data, LabeledDataset):
         data = data.data  # labels are dropped for plain scoring
     report = _SCORERS[args.scorer](data, Params(n_d=args.nd, s_n=args.sn))
     ingest.write_scores(report, args.out if args.out else sys.stdout)
@@ -217,14 +207,11 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:
-        print(f"odac {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except OdacError as exc:
-        print(f"odac {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"odac {args.command}: {exc}", file=sys.stderr)
-        return 1
+        error, code = exc, 2
+    except (OdacError, OSError) as exc:
+        error, code = exc, 1
+    print(f"odac {args.command}: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -151,6 +151,17 @@ def exact_set_accuracy(
     return bool(np.isin(labeled.outlier_indices, report.ranking[:k]).all())
 
 
+def _exact_set_trials(
+    trials: Iterable[LabeledDataset], params: Params, scorer: Scorer
+) -> EvalReport:
+    """Count the trials whose k lowest-scored points are the k outliers."""
+    count = successes = 0
+    for labeled in trials:
+        count += 1
+        successes += exact_set_accuracy(labeled, params, scorer)
+    return EvalReport(trial_count=count, success_count=successes)
+
+
 def run_trials(
     spec: SyntheticSpec,
     params: Params,
@@ -167,11 +178,8 @@ def run_trials(
     if spec.anomaly_count == 0:
         raise NoOutliersLabeled("spec generates no anomalies")
     base = spec.seed if isinstance(spec.seed, tuple) else (int(spec.seed),)
-    successes = 0
-    for t in range(trials):
-        labeled = generate(replace(spec, seed=base + (t,)))
-        successes += exact_set_accuracy(labeled, params, scorer)
-    return EvalReport(trial_count=trials, success_count=successes)
+    scenes = (generate(replace(spec, seed=base + (t,))) for t in range(trials))
+    return _exact_set_trials(scenes, params, scorer)
 
 
 def percentile_recall(
@@ -298,11 +306,8 @@ def donor_trials_accuracy(
     scorer: Scorer = score_all_fast,
 ) -> EvalReport:
     """Exact-set accuracy over every enumerated donor-outlier trial."""
-    trials = 0
-    successes = 0
-    for labeled in enumerate_outlier_trials(normal_points, donors):
-        trials += 1
-        successes += exact_set_accuracy(labeled, params, scorer)
-    if trials == 0:
+    trials = enumerate_outlier_trials(normal_points, donors)
+    report = _exact_set_trials(trials, params, scorer)
+    if report.trial_count == 0:
         raise NoOutliersLabeled("donor enumeration produced no trials")
-    return EvalReport(trial_count=trials, success_count=successes)
+    return report

@@ -3,18 +3,19 @@
 Datasets, scores and the evaluation reports are all written by
 `_write_rows`; both readers share the row loop `_read_table`.
 
-CSV conventions: UTF-8, comma separated, decimal numbers. An optional
-header row names the columns; an optional label column holds 0 (normal)
-or 1 (outlier). Values are written with Python's shortest round-trip
-float representation, so write -> read is bit-exact.
+CSV conventions: UTF-8 (one leading byte-order mark is ignored), comma
+separated, decimal numbers. An optional header row names the columns;
+an optional label column holds 0 (normal) or 1 (outlier). Values are
+written with Python's shortest round-trip float representation, so
+write -> read is bit-exact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -25,55 +26,53 @@ from .types import Dataset, LabeledDataset, ScoreReport, validate_dataset
 Source = Union[str, os.PathLike, io.IOBase]
 
 
-@dataclass(frozen=True)
-class PreprocessSpec:
-    """Normalize-then-scale pipeline settings.
-
-    Attributes:
-        normalize: Min-max scale each column to [0, 1] first.
-        scale: Multiplier applied afterwards (300 stretches normalized
-            data to [0, 300], a range the default n_d = 80 suits).
-    """
-
-    normalize: bool = True
-    scale: float = 300.0
-
-    def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
-
-
-def preprocess(data: Dataset, spec: PreprocessSpec) -> Dataset:
+def preprocess(
+    data: Dataset, *, normalize: bool = True, scale: float = 300.0
+) -> Dataset:
     """Min-max normalize per column (optional), then multiply by scale.
 
-    Constant columns map to all zeros rather than dividing by zero.
+    Constant columns map to all zeros rather than dividing by zero. The
+    default scale of 300 stretches normalized data to [0, 300], a range
+    the default n_d = 80 suits.
     """
+    if not scale > 0:
+        raise ValueError(f"scale must be > 0, got {scale}")
     validate_dataset(data)
     pts = data.points
-    if spec.normalize:
+    if normalize:
         lo = pts.min(axis=0)
         span = pts.max(axis=0) - lo
         safe = np.where(span > 0, span, 1.0)
         pts = np.where(span > 0, (pts - lo) / safe, 0.0)
-    return Dataset(pts * spec.scale)
+    return Dataset(pts * scale)
+
+
+@contextlib.contextmanager
+def _text_handle(source: Source, mode: str):
+    """A UTF-8 text handle on a path, text stream, or byte stream.
+
+    A path is opened and closed here. A caller's stream is left open: a
+    byte stream is used through a wrapper that is detached afterwards,
+    so the wrapper never closes it.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, mode, encoding="utf-8", newline="") as handle:
+            yield handle
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    else:
+        handle = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            yield handle
+        finally:
+            handle.detach()
 
 
 def _text_lines(source: Source):
-    """Yield decoded lines from a path, text stream, or byte stream.
-
-    A byte stream's wrapper is detached at the end, leaving the stream open.
-    """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            yield from handle
-    elif isinstance(source, io.TextIOBase):
-        yield from source
-    else:
-        wrapper = io.TextIOWrapper(source, encoding="utf-8", newline="")
-        try:
-            yield from wrapper
-        finally:
-            wrapper.detach()
+    """Yield the lines of a source, without one leading byte-order mark."""
+    with _text_handle(source, "r") as handle:
+        yield handle.readline().removeprefix("\ufeff")
+        yield from handle
 
 
 def _parse_float(text: str, line_no: int, field_no: int) -> float:
@@ -120,6 +119,7 @@ def _read_table(source: Source, has_header: bool, label_column, text_labels: boo
     if not rows:
         raise ParseError(0, 0, "empty input")
     header = None
+    first_line = rows[0][0]  # the header's line when there is one
     if has_header:
         header = [f.strip() for f in rows[0][1]]
         rows = rows[1:]
@@ -128,7 +128,7 @@ def _read_table(source: Source, has_header: bool, label_column, text_labels: boo
     width = len(rows[0][1])
     label_idx = None
     if label_column is not None:
-        label_idx = _resolve_label_column(label_column, header, width, rows[0][0])
+        label_idx = _resolve_label_column(label_column, header, width, first_line)
     text_idx = label_idx if text_labels else None
 
     points = np.empty((len(rows), width - (label_idx is not None)))
@@ -197,35 +197,18 @@ def read_species_table(
 
 
 def _write_rows(sink: Source, header, rows) -> None:
-    """Write CSV rows to a path or stream, after a header row unless None.
+    """Write a header row and then the rows as CSV to a path or stream.
 
-    A path is opened and closed here. A caller's stream is flushed and
-    left open; a byte stream is written through a UTF-8 wrapper that is
-    detached afterwards, so the wrapper never closes it.
+    A caller's stream is flushed and left open.
     """
-    owned = isinstance(sink, (str, os.PathLike))
-    if owned:
-        handle = open(sink, "w", encoding="utf-8", newline="")
-    elif isinstance(sink, io.TextIOBase):
-        handle = sink
-    else:
-        handle = io.TextIOWrapper(sink, encoding="utf-8", newline="")
-    try:
+    with _text_handle(sink, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        if header is not None:
-            writer.writerow(header)
+        writer.writerow(header)
         writer.writerows(rows)
         handle.flush()
-    finally:
-        if owned:
-            handle.close()
-        elif handle is not sink:
-            handle.detach()
 
 
-def write_csv(
-    data: "Dataset | LabeledDataset", sink: Source, header: bool = True
-) -> None:
+def write_csv(data: "Dataset | LabeledDataset", sink: Source) -> None:
     """Write a dataset as CSV, with a trailing `label` column when labeled."""
     labeled = isinstance(data, LabeledDataset)
     dataset = data.data if labeled else data
@@ -233,7 +216,7 @@ def write_csv(
     rows = ([repr(float(v)) for v in point] for point in dataset.points)
     if labeled:
         rows = (row + ["1" if f else "0"] for row, f in zip(rows, data.is_outlier))
-    _write_rows(sink, names if header else None, rows)
+    _write_rows(sink, names, rows)
 
 
 def write_scores(report: ScoreReport, sink: Source) -> None:

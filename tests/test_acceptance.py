@@ -15,9 +15,7 @@ import pytest
 from odac import (
     Dataset,
     Params,
-    PreprocessSpec,
     SyntheticSpec,
-    cosine_similarity,
     donor_trials_accuracy,
     generate,
     percentile_recall,
@@ -25,10 +23,10 @@ from odac import (
     run_trials,
     score_all_fast,
     score_all_naive,
-    similarity_from_distance,
     sweep,
 )
-from odac.naive import observation_point
+from odac.fast import similarity_from_distance
+from odac.naive import cosine_similarity, observation_point
 
 from conftest import grid_dataset
 
@@ -187,9 +185,7 @@ def _normalized_species(groups):
     """Min-max normalize the full table to [0, 300], split back by species."""
     names = sorted(groups)
     full = np.vstack([groups[name] for name in names])
-    scaled = preprocess(
-        Dataset(full), PreprocessSpec(normalize=True, scale=300.0)
-    ).points
+    scaled = preprocess(Dataset(full), normalize=True, scale=300.0).points
     out = {}
     offset = 0
     for name in names:

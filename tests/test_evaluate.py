@@ -6,22 +6,24 @@ import pytest
 
 from odac import (
     Dataset,
-    EvalReport,
     LabeledDataset,
     NoOutliersLabeled,
     Params,
     ScoreReport,
-    SweepReport,
     SyntheticSpec,
     donor_trials_accuracy,
-    enumerate_outlier_trials,
-    exact_set_accuracy,
     generate,
     percentile_recall,
     run_trials,
     score_all_fast,
     score_all_naive,
     sweep,
+)
+from odac.evaluate import (
+    EvalReport,
+    SweepReport,
+    enumerate_outlier_trials,
+    exact_set_accuracy,
     worst_outlier_rank,
 )
 from odac.fast import NeighborIndex

@@ -3,18 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from odac import (
-    Dataset,
-    InvalidTopR,
-    Params,
+from odac import Dataset, InvalidTopR, Params, score_all_fast, score_all_naive
+from odac import fast
+from odac.fast import (
+    NeighborIndex,
     neighbor_distances,
-    score_all_fast,
-    score_all_naive,
     scores_from_distances,
     similarity_from_distance,
 )
-from odac import fast
-from odac.fast import NeighborIndex
 from odac.naive import augment, cosine_similarity, observation_point
 
 from conftest import random_dataset

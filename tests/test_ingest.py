@@ -10,7 +10,6 @@ from odac import (
     LabeledDataset,
     NonFiniteValue,
     ParseError,
-    PreprocessSpec,
     RaggedRows,
     ScoreReport,
     SyntheticSpec,
@@ -33,7 +32,7 @@ IRIS_SNIPPET = """5.1,3.5,1.4,0.2,Iris-setosa
 
 def test_preprocess_column_example():
     data = Dataset(np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]))
-    out = preprocess(data, PreprocessSpec(normalize=True, scale=300.0))
+    out = preprocess(data, normalize=True, scale=300.0)
     assert out.points[:, 0].tolist() == [0.0, 150.0, 300.0]
     assert out.points[:, 1].tolist() == [0.0, 0.0, 0.0]  # constant column
 
@@ -41,21 +40,21 @@ def test_preprocess_column_example():
 def test_preprocess_identity_on_unit_range():
     column = np.array([0.0, 0.25, 1.0])
     data = Dataset(np.column_stack([column, column[::-1]]))
-    out = preprocess(data, PreprocessSpec(normalize=True, scale=1.0))
+    out = preprocess(data, normalize=True, scale=1.0)
     assert np.array_equal(out.points, data.points)
 
 
 def test_preprocess_idempotent_at_scale_one():
     rng = np.random.default_rng(31)
-    spec = PreprocessSpec(normalize=True, scale=1.0)
-    once = preprocess(Dataset(rng.uniform(-5, 5, (20, 4))), spec)
-    twice = preprocess(once, spec)
+    once = preprocess(Dataset(rng.uniform(-5, 5, (20, 4))), normalize=True, scale=1.0)
+    twice = preprocess(once, normalize=True, scale=1.0)
     assert np.array_equal(once.points, twice.points)
 
 
 def test_preprocess_spec_rejects_bad_scale():
-    with pytest.raises(ValueError):
-        PreprocessSpec(scale=0.0)
+    data = Dataset(np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]))
+    with pytest.raises(ValueError, match="scale must be > 0, got 0.0"):
+        preprocess(data, scale=0.0)
 
 
 def test_read_unlabeled_csv():
@@ -136,8 +135,16 @@ def test_species_table_groups_rows():
         ("f1,f2,species\n", {"has_header": True}, ParseError, 0, 0),
         ("5.1,3.5,a\n4.9,3.0,b\n", {"label_column": 3}, ParseError, 1, 0),
         ("5.1,3.5,a\n4.9,3.0,b\n", {"label_column": -4}, ParseError, 1, 0),
+        (
+            "\n\nf1,f2,species\n5.1,3.5,a\n",
+            {"has_header": True, "label_column": "kind"},
+            ParseError, 3, 0,
+        ),
     ],
-    ids=["ragged", "bad-cell", "header-only", "label-past-end", "label-before-start"],
+    ids=[
+        "ragged", "bad-cell", "header-only", "label-past-end", "label-before-start",
+        "label-name-missing",
+    ],
 )
 def test_species_table_errors_located(text, kwargs, error, line, field):
     with pytest.raises(error) as err:
@@ -217,3 +224,32 @@ def test_roundtrip_property(rows):
     write_csv(data, sink)
     back = read_csv(io.StringIO(sink.getvalue()), has_header=True)
     assert np.array_equal(back.points, data.points)
+
+
+def _source(kind, text, tmp_path):
+    """The same UTF-8 text as a path, a byte stream or a text stream."""
+    if kind == "path":
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+    if kind == "bytes":
+        return io.BytesIO(text.encode("utf-8"))
+    return io.StringIO(text)
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "text"])
+def test_leading_byte_order_mark_is_ignored(kind, tmp_path):
+    plain = read_csv(_source(kind, "\ufeff0,0\n1,0\n0,2\n5,5\n", tmp_path))
+    assert plain.points.tolist() == [[0, 0], [1, 0], [0, 2], [5, 5]]
+
+    header = read_csv(
+        _source(kind, "\ufeffx,y\n0,0\n1,0\n0,2\n", tmp_path), has_header=True
+    )
+    assert header.points.tolist() == [[0, 0], [1, 0], [0, 2]]
+
+    text = "\ufefflabel,x,y\n0,0,0\n0,1,0\n1,9,9\n"
+    labeled = read_csv(
+        _source(kind, text, tmp_path), has_header=True, label_column="label"
+    )
+    assert labeled.data.points.tolist() == [[0, 0], [1, 0], [9, 9]]
+    assert labeled.is_outlier.tolist() == [False, False, True]

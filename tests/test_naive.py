@@ -3,16 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odac import (
-    Dataset,
-    InvalidTopR,
-    Params,
-    augment,
-    cosine_similarity,
-    observation_point,
-    score_all_naive,
-)
+from odac import Dataset, InvalidTopR, Params, score_all_naive
 from odac.fast import similarity_from_distance
+from odac.naive import augment, cosine_similarity, observation_point
 
 from conftest import grid_dataset, random_dataset
 

@@ -9,9 +9,8 @@ from odac import (
     NonFiniteValue,
     TooFewDimensions,
     TooFewPoints,
-    ascending_ranking,
-    validate_dataset,
 )
+from odac.types import ascending_ranking, validate_dataset
 
 
 class TestValidateDataset:
