@@ -83,6 +83,8 @@ class PercentileReport:
         lines = ["scope      ranks        points  outliers  cumulative"]
         w = self.bucket_width_percent
         for b, bucket in enumerate(self.buckets):
+            if bucket.point_count == 0:
+                continue  # q < 100 / w leaves some bands without a rank
             scope = f"{b * w:g}-{(b + 1) * w:g}%"
             ranks = f"{bucket.rank_start}-{bucket.rank_end}"
             lines.append(

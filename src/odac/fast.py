@@ -13,9 +13,12 @@ Scoring splits into two steps:
   * `neighbor_distances(data, k)` runs the one exact k-NN pass and
     returns every point's ascending neighbor distances. They do not
     depend on n_d, and the distances for any s_n <= k are a prefix of
-    the same row.
+    the same row. On the kd-tree path the points are queried in blocks
+    taken in the tree's leaf order, so each block's queries walk nearby
+    nodes, and every block is written straight into one (q, k) array.
   * `scores_from_distances(dist, params)` applies the transform to the
-    first s_n columns and sums them.
+    first s_n columns and sums them, one block of rows at a time, so
+    only a block of similarities is ever held.
 
 So one pass at the largest s_n serves every parameter setting, which is
 how `evaluate.sweep` tunes n_d and s_n. The reduction is asserted against
@@ -38,6 +41,17 @@ _TREE_MAX_DIM = 20
 # Cells per brute-force distance block (32 MiB of float64), so the scan's
 # memory stays flat as q grows.
 _BRUTE_CELLS = 1 << 22
+# Rows per kd-tree query block and per transform block. Each tree block
+# holds (k + 1) distances and indices per row, about 21 MiB at k = 40.
+_BLOCK = 1 << 15
+# Tree blocks below this many rows are queried on one thread. Starting
+# the worker threads costs about 0.2 ms per query, which a small block's
+# work does not repay. Medians of 7 interleaved runs on 2 cores
+# (cKDTree.query, workers=1 against workers=-1): 0.39 / 0.56 ms at
+# q = 220 (n = 3, k = 11), 0.92 / 1.08 ms at q = 220 and 2.73 / 2.73 ms
+# at q = 500 (n = 2, k = 41), and 16.4 / 11.8 ms at q = 1000 (n = 6,
+# k = 41), where -1 wins at every n.
+_SERIAL_ROWS = 512
 
 
 def similarity_from_distance(d, n_d: float):
@@ -91,14 +105,21 @@ class NeighborIndex:
         q = self._points.shape[0]
         if not 1 <= k <= q - 1:
             raise InvalidTopR(f"k = {k} but only {q - 1} other points exist")
-        if self._tree is not None:
-            # Each point sees distance 0 to itself, so column 0 is always
-            # one zero entry; dropping it leaves the k true neighbor
-            # distances (a duplicate twin may stand in for self, at the
-            # same distance 0).
-            dist = self._tree.query(self._points, k=k + 1, workers=-1)[0]
-            return np.ldexp(dist, self._exp, out=dist)[:, 1:]
         out = np.empty((q, k))
+        if self._tree is not None:
+            order = self._tree.indices  # point indices in leaf order
+            for start in range(0, q, _BLOCK):
+                block = order[start : start + _BLOCK]
+                workers = 1 if len(block) < _SERIAL_ROWS else -1
+                # Each point sees distance 0 to itself, so column 0 is
+                # always one zero entry; dropping it leaves the k true
+                # neighbor distances (a duplicate twin may stand in for
+                # self, at the same distance 0). The block's arrays are
+                # dropped before the next query allocates its own.
+                out[block] = self._tree.query(
+                    self._points[block], k=k + 1, workers=workers
+                )[0][:, 1:]
+            return np.ldexp(out, self._exp, out=out)
         rows = max(1, _BRUTE_CELLS // q)
         for start in range(0, q, rows):
             stop = min(start + rows, q)
@@ -127,7 +148,7 @@ def scores_from_distances(dist: np.ndarray, params: Params) -> ScoreReport:
     Args:
         dist: (q, k) array from `neighbor_distances`; only the first
             params.s_n columns are read, so any k >= s_n gives the same
-            scores.
+            scores. It is not modified, so a sweep can reuse it.
         params: Scoring knobs.
 
     Raises:
@@ -137,10 +158,13 @@ def scores_from_distances(dist: np.ndarray, params: Params) -> ScoreReport:
         raise InvalidTopR(
             f"s_n = {params.s_n} but only {dist.shape[1]} neighbor distances per point"
         )
-    sims = similarity_from_distance(dist[:, : params.s_n], params.n_d)
-    # Rows are descending (distances ascending); reverse so the sum
-    # accumulates ascending values like the reference scorer.
-    scores = sims[:, ::-1].sum(axis=1)
+    scores = np.empty(dist.shape[0])
+    for start in range(0, dist.shape[0], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        sims = similarity_from_distance(dist[block, : params.s_n], params.n_d)
+        # Rows are descending (distances ascending); reverse so the sum
+        # accumulates ascending values like the reference scorer.
+        scores[block] = sims[:, ::-1].sum(axis=1)
     return ScoreReport(scores)
 
 

@@ -1,7 +1,13 @@
 """Dataset I/O and preprocessing: every CSV read and write, min-max scaling.
 
 Datasets, scores and the evaluation reports are all written by
-`_write_rows`; both readers share the row loop `_read_table`.
+`_write_rows`. Both readers go through `_read_table`. For a path or a
+seekable byte stream, `read_csv` first parses the numbers with numpy's
+chunked `np.loadtxt` (`_read_fast`); if that fails in any way, or the
+label column holds more than 0/1, the source is read again by the
+per-cell row loop `_read_rows`. The loop is the only reader of text
+streams and species tables, and the only source of `ParseError` and
+`RaggedRows`, so every error names the line and field it always did.
 
 CSV conventions: UTF-8 (one leading byte-order mark is ignored), comma
 separated, decimal numbers. An optional header row names the columns;
@@ -16,6 +22,7 @@ import contextlib
 import csv
 import io
 import os
+import warnings
 from typing import Union
 
 import numpy as np
@@ -68,11 +75,10 @@ def _text_handle(source: Source, mode: str):
             handle.detach()
 
 
-def _text_lines(source: Source):
-    """Yield the lines of a source, without one leading byte-order mark."""
-    with _text_handle(source, "r") as handle:
-        yield handle.readline().removeprefix("\ufeff")
-        yield from handle
+def _text_lines(handle):
+    """Yield the lines of a text handle, without one leading byte-order mark."""
+    yield handle.readline().removeprefix("\ufeff")
+    yield from handle
 
 
 def _parse_float(text: str, line_no: int, field_no: int) -> float:
@@ -89,33 +95,95 @@ def _resolve_label_column(label_column, header, width, line_no):
         if header is None:
             raise ValueError("a named label column requires has_header=True")
         try:
-            return header.index(label_column)
+            idx = header.index(label_column)
         except ValueError:
             raise ParseError(
                 line_no, 0, f"no column named {label_column!r} in header"
             ) from None
-    idx = int(label_column)
-    if idx < 0:
-        idx += width
+    else:
+        label_column = int(label_column)
+        idx = label_column + width if label_column < 0 else label_column
+    # A header may name more columns than the data rows hold.
     if not 0 <= idx < width:
-        raise ParseError(line_no, 0, f"label column {label_column} out of range")
+        raise ParseError(line_no, 0, f"label column {label_column!r} out of range")
     return idx
 
 
 def _read_table(source: Source, has_header: bool, label_column, text_labels: bool):
-    """The row loop both readers share: (features, labels) of a CSV.
+    """(features, labels) of a CSV: numpy's parser first, else the row loop.
+
+    The label column, if any, is left out of the float features and
+    returned per row: 0/1 flags as a bool array, or stripped text with
+    text_labels; labels is None without a label column. A path or a
+    seekable byte stream without text labels is first read by
+    `_read_fast`; when that declines, it is read again from the same
+    position by `_read_rows`, which alone reports malformed input. A
+    caller's text stream goes straight to the loop: it may split lines
+    other than at the "\n", "\r" and "\r\n" numpy splits at (an
+    io.StringIO splits only at "\n").
+    """
+    owned = not isinstance(source, io.TextIOBase)  # opened with newline=""
+    with _text_handle(source, "r") as handle:
+        if owned and not text_labels and handle.seekable():
+            start = handle.tell()
+            table = _read_fast(handle, start, has_header, label_column)
+            if table is not None:
+                return table
+            handle.seek(start)
+        return _read_rows(handle, has_header, label_column, text_labels)
+
+
+def _read_fast(handle, start, has_header: bool, label_column):
+    """(features, flags) parsed by `np.loadtxt`, or None to leave it to the loop.
+
+    numpy's parser reads the handle in chunks, so no copy of the text is
+    held. It accepts a subset of what the loop accepts: plain decimal,
+    nan and inf cells, surrounding whitespace, and empty lines. Anything
+    else (quotes, underscores, non-ASCII digits, blank-field rows, a
+    ragged row, a bad label) makes it fail, and the loop then reads the
+    source and reports the first fault. On success the values are the
+    loop's bit for bit: both parse a cell with the same string-to-double
+    conversion.
+    """
+    try:  # a UnicodeDecodeError is a ValueError too
+        if handle.read(1) != "\ufeff":
+            handle.seek(start)
+        header = None
+        if has_header:
+            line = handle.readline()
+            header = [f.strip() for f in line.rstrip("\r\n").split(",")]
+            if '"' in line or not any(header):
+                return None  # a quoted or blank first line: the loop decides
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "no data" is declined below
+            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+        if table.shape[0] == 0:
+            return None
+        if label_column is None:
+            return table, None
+        idx = _resolve_label_column(label_column, header, table.shape[1], 0)
+    except (ValueError, ParseError):
+        return None
+    labels = table[:, idx]
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        return None
+    return np.delete(table, idx, axis=1), labels == 1.0
+
+
+def _read_rows(handle, has_header: bool, label_column, text_labels: bool):
+    """The row loop: every reader's fallback and its only error source.
 
     Blank rows and the header are skipped. Cells are parsed in file
-    order, so the first bad one is reported. The label column, if any,
-    is left out of the float features and returned per row: 0/1 flags as
-    a bool array, or stripped text with text_labels; labels is None
-    without a label column.
+    order, so the first bad one is reported, with the physical line on
+    which its record starts (a quoted cell may span lines).
     """
-    rows = [
-        (line_no, fields)
-        for line_no, fields in enumerate(csv.reader(_text_lines(source)), start=1)
-        if any(f.strip() for f in fields)
-    ]
+    reader = csv.reader(_text_lines(handle))
+    rows = []
+    line_no = 1  # the physical line the next record starts on
+    for fields in reader:
+        if any(f.strip() for f in fields):
+            rows.append((line_no, fields))
+        line_no = reader.line_num + 1
     if not rows:
         raise ParseError(0, 0, "empty input")
     header = None

@@ -122,6 +122,22 @@ def test_eval_percentile_mode(tmp_path, capsys):
     assert "100.0%" in out
 
 
+def test_eval_text_skips_empty_buckets(tmp_path, capsys):
+    # With q = 4 most 1% bands hold no rank; the text lists only the others.
+    scene = tmp_path / "four.csv"
+    scene.write_text("x1,x2,label\n0,0,0\n1,0,0\n0,2,1\n5,5,1\n")
+    flags = ["eval", "--in", str(scene), "--header", "--label-col", "label", "--sn", "2"]
+    assert main(flags) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[1:3] for row in rows] == [["1-1", "1"], ["2-2", "1"]]
+    assert rows[-1].endswith("100.0%")
+    # The CSV keeps every bucket, empty ones included.
+    assert main(flags + ["--out", str(tmp_path / "p.csv")]) == 0
+    lines = (tmp_path / "p.csv").read_text().splitlines()
+    assert len(lines) == 101
+    assert lines[1] == "0,1,0,0,0,0,0.000000"
+
+
 def test_eval_trials_mode(tmp_path, capsys):
     code = main(
         ["eval", "--dim", "3", "--normal", "40", "--anomalies", "5",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from odac import Dataset, InvalidTopR, Params, score_all_fast, score_all_naive
 from odac import fast
@@ -224,3 +225,53 @@ class TestScoresFromDistances:
         dist = neighbor_distances(random_dataset(rng, 20, 2), 5)
         with pytest.raises(InvalidTopR):
             scores_from_distances(dist, Params(n_d=1.0, s_n=6))
+
+    def test_dist_is_not_modified(self):
+        rng = np.random.default_rng(30)
+        dist = neighbor_distances(random_dataset(rng, 40, 3), 6)
+        before = dist.copy()
+        dist.setflags(write=False)  # an in-place write would raise
+        scores_from_distances(dist, Params(n_d=2.0, s_n=5))
+        assert np.array_equal(dist, before)
+
+
+class TestBlockedPass:
+    """The tree pass and the transform at block sizes a test can reach."""
+
+    @pytest.fixture
+    def queries(self, monkeypatch):
+        """Shrink the blocks to 7 rows and record every tree query."""
+        calls = []
+
+        class RecordingTree(fast.cKDTree):
+            def query(self, x, *args, **kwargs):
+                calls.append((len(x), kwargs.get("workers")))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(fast, "_BLOCK", 7)
+        monkeypatch.setattr(fast, "cKDTree", RecordingTree)
+        return calls
+
+    @pytest.mark.parametrize("q", [7, 29, 36])  # one block; a short last one; a 1-row last one
+    def test_blocks_match_unblocked_input_order_query(self, queries, q):
+        rng = np.random.default_rng(q)
+        points = random_dataset(rng, q, 3).points.copy()
+        points[q // 2] = points[0]  # a duplicate twin
+        k = min(5, q - 1)
+        params = Params(n_d=3.0, s_n=k)
+        reference = cKDTree(points).query(points, k=k + 1)[0][:, 1:]
+        sims = similarity_from_distance(reference, params.n_d)
+        reference_scores = sims[:, ::-1].sum(axis=1)
+
+        dist = NeighborIndex(points, method="tree").distances_all(k)
+        assert np.array_equal(dist, reference)
+        assert np.array_equal(score_all_fast(Dataset(points), params).scores, reference_scores)
+        sizes = [size for size, _ in queries]
+        assert sizes == 2 * ([7] * (q // 7) + ([q % 7] if q % 7 else []))
+        assert max(sizes) <= fast._BLOCK
+
+    def test_workers_by_block_size(self, queries, monkeypatch):
+        monkeypatch.setattr(fast, "_SERIAL_ROWS", 6)
+        points = random_dataset(np.random.default_rng(31), 33, 3).points
+        NeighborIndex(points, method="tree").distances_all(4)
+        assert queries == [(7, -1)] * 4 + [(5, 1)]

@@ -21,6 +21,7 @@ from odac import (
     write_csv,
     write_scores,
 )
+from odac import ingest
 
 IRIS_SNIPPET = """5.1,3.5,1.4,0.2,Iris-setosa
 4.9,3.0,1.4,0.2,Iris-setosa
@@ -140,10 +141,15 @@ def test_species_table_groups_rows():
             {"has_header": True, "label_column": "kind"},
             ParseError, 3, 0,
         ),
+        (
+            "f1,f2,species\n5.1,3.5\n4.9,3.0\n",
+            {"has_header": True, "label_column": "species"},
+            ParseError, 1, 0,
+        ),
     ],
     ids=[
         "ragged", "bad-cell", "header-only", "label-past-end", "label-before-start",
-        "label-name-missing",
+        "label-name-missing", "label-name-past-row-end",
     ],
 )
 def test_species_table_errors_located(text, kwargs, error, line, field):
@@ -253,3 +259,137 @@ def test_leading_byte_order_mark_is_ignored(kind, tmp_path):
     )
     assert labeled.data.points.tolist() == [[0, 0], [1, 0], [9, 9]]
     assert labeled.is_outlier.tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize(
+    "text, error, line, field",
+    [
+        ('"1\n",2\n3,4\n5,x\n', ParseError, 4, 2),
+        ('1,2\n"3\nx",4\n5,6\n', ParseError, 2, 1),
+        ('1,"2\n"\n\n3\n', RaggedRows, 4, None),
+    ],
+    ids=["after-quoted-newline", "in-quoted-newline", "ragged-after-blank"],
+)
+def test_error_names_the_line_its_record_starts_on(text, error, line, field, tmp_path):
+    for kind in ("path", "bytes", "text"):
+        with pytest.raises(error) as err:
+            read_csv(_source(kind, text, tmp_path))
+        assert err.value.line == line
+        assert getattr(err.value, "column", None) == field
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "text"])
+def test_named_label_past_row_end_rejected(kind, tmp_path):
+    # The header names two columns; the rows hold one.
+    with pytest.raises(ParseError, match="label column 'label' out of range") as err:
+        read_csv(_source(kind, "x,label\n0.5\n1\n2\n", tmp_path), True, "label")
+    assert (err.value.line, err.value.column) == (1, 0)
+
+
+def _outcome(read):
+    """What a reader call gives: exact array bits, or the error it raises."""
+    try:
+        points, flags = read()
+    except Exception as err:  # compared by type, position and message
+        return (type(err), getattr(err, "line", None), getattr(err, "column", None), str(err))
+    return (points.shape, points.tobytes(), None if flags is None else flags.tobytes())
+
+
+def _handle(data):
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
+_WHITESPACE = st.sampled_from(
+    ["", "", "", " ", "\t", "\xa0", "\x0c", "\x1c", "\x85", "\u2003", "\u2028", "\u3000"]
+)
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.floats(-1e3, 1e3).map(lambda v: f"{v:.3e}"),
+)
+_ODD_CELL = st.sampled_from([
+    "nan", "-nan", "NaN", "inf", "-Infinity", "+inf", "1_0", "١٢", "１",
+    "#", "#1", "", " ", '"1"', '"1\n2"', '"3,4"', "1e5", "+.5", ".5e-3", "-0",
+    "0x10", "1,", "\ufeff1", "1 2", "1\x00", "2", "0", "1", "\r",
+])
+_LABEL = st.sampled_from(["0", "1", "0", "1", "0.0", "1e0", " 1 ", "-0", "2", "nan", "", "x"])
+_NEWLINE = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text with the edge cases both readers must agree on."""
+    width = draw(st.integers(1, 4))
+    label_at = draw(st.none() | st.integers(0, width - 1))
+    odd = draw(st.sampled_from([0.0, 0.03, 0.3]))  # the share of odd cells
+    lines = []
+    if draw(st.booleans()):
+        names = [draw(st.sampled_from(["x", "y", " z ", '"q"', ""])) for _ in range(width)]
+        if label_at is not None:
+            names[label_at] = "label"
+        lines.append(",".join(names))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "spaces", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", " , ", ",", "\xa0"])))
+        else:
+            n = width if kind == "row" else draw(st.integers(1, width + 2))
+            cells = []
+            for c in range(n):
+                if c == label_at:
+                    cell = draw(_LABEL)
+                elif draw(st.floats(0, 1)) < odd:
+                    cell = draw(_ODD_CELL)
+                else:
+                    cell = draw(_NUMBER)
+                cells.append(draw(_WHITESPACE) + cell + draw(_WHITESPACE))
+            lines.append(",".join(cells))
+    text = "".join(line + draw(_NEWLINE) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    if draw(st.integers(0, 4)) == 0:
+        text = "\ufeff" + text
+    label = None if label_at is None else draw(st.sampled_from(["label", label_at, label_at - width]))
+    return text, label
+
+
+@given(_csv_texts(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_fast_reader_matches_row_loop(case, has_header):
+    text, label = case
+    data = text.encode("utf-8")
+    loop = _outcome(lambda: ingest._read_rows(_handle(data), has_header, label, False))
+    fast = ingest._read_fast(_handle(data), 0, has_header, label)
+    if fast is not None:  # when the fast path answers, it is the loop's answer
+        assert _outcome(lambda: fast) == loop
+    assert _outcome(lambda: ingest._read_table(io.BytesIO(data), has_header, label, False)) == loop
+
+
+def test_fast_reader_takes_clean_files(tmp_path, monkeypatch):
+    def no_loop(*args):
+        raise AssertionError("the row loop ran")
+
+    text = "\ufeffx,label,y\r\n1.5,0,-2e3\r\n\r\n3, 1 ,4\r\n5,0,nan\r\n"
+    monkeypatch.setattr(ingest, "_read_rows", no_loop)
+    for kind in ("path", "bytes"):
+        points, flags = ingest._read_table(_source(kind, text, tmp_path), True, "label", False)
+        assert points.tolist()[:2] == [[1.5, -2000.0], [3.0, 4.0]]
+        assert np.isnan(points[2, 1])
+        assert flags.tolist() == [False, True, False]
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes"])
+def test_fast_reader_declines_to_the_loop(kind, tmp_path):
+    # Python's float reads '1_0' and Arabic-Indic digits; numpy does not.
+    text = "x,y\n1_0,2\n٣,4\n5,6\n"
+    data = read_csv(_source(kind, text, tmp_path), has_header=True)
+    assert data.points.tolist() == [[10.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+
+@pytest.mark.parametrize("data", [b"x,y\n1,2\n\xff,3\n4,5\n", b"\xff,y\n1,2\n3,3\n4,5\n"])
+def test_undecodable_bytes_raise_as_in_the_loop(data):
+    loop = _outcome(lambda: ingest._read_rows(_handle(data), True, None, False))
+    assert loop[0] is UnicodeDecodeError
+    assert _outcome(lambda: ingest._read_table(io.BytesIO(data), True, None, False)) == loop
