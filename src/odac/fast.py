@@ -42,8 +42,13 @@ _TREE_MAX_DIM = 20
 # memory stays flat as q grows.
 _BRUTE_CELLS = 1 << 22
 # Rows per kd-tree query block and per transform block. Each tree block
-# holds (k + 1) distances and indices per row, about 21 MiB at k = 40.
-_BLOCK = 1 << 15
+# holds (k + 1) distances and indices per row, 16 B each: 2.6 MiB at
+# k = 40, held next to the (q, k) output. Measured on 2 cores, median of
+# 5 interleaved `distances_all` runs and its tracemalloc peak: at q = 10^5,
+# n = 6, k = 40, 2.08 s / 33 MiB at 2^12 against 2.03 s / 53 MiB at 2^15;
+# at q = 1.5 * 10^4, k = 80, 0.28 s at every size, 14 MiB at 2^12 and
+# 20 MiB at 2^13, where one unblocked query peaks at 18.5 MiB.
+_BLOCK = 1 << 12
 # Tree blocks below this many rows are queried on one thread. Starting
 # the worker threads costs about 0.2 ms per query, which a small block's
 # work does not repay. Medians of 7 interleaved runs on 2 cores
