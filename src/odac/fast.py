@@ -13,9 +13,11 @@ Scoring splits into two steps:
   * `neighbor_distances(data, k)` runs the one exact k-NN pass and
     returns every point's ascending neighbor distances. They do not
     depend on n_d, and the distances for any s_n <= k are a prefix of
-    the same row. On the kd-tree path the points are queried in blocks
-    taken in the tree's leaf order, so each block's queries walk nearby
-    nodes, and every block is written straight into one (q, k) array.
+    the same row. One loop over row blocks serves both index paths: the
+    kd-tree takes blocks in its leaf order, so each block's queries walk
+    nearby nodes, and the brute-force scan takes blocks in input order,
+    sized so a block of distances stays small. Each block's k + 1
+    nearest distances are written, minus column 0, into one (q, k) array.
   * `scores_from_distances(dist, params)` applies the transform to the
     first s_n columns and sums them, one block of rows at a time, so
     only a block of similarities is ever held.
@@ -49,14 +51,6 @@ _BRUTE_CELLS = 1 << 22
 # at q = 1.5 * 10^4, k = 80, 0.28 s at every size, 14 MiB at 2^12 and
 # 20 MiB at 2^13, where one unblocked query peaks at 18.5 MiB.
 _BLOCK = 1 << 12
-# Tree blocks below this many rows are queried on one thread. Starting
-# the worker threads costs about 0.2 ms per query, which a small block's
-# work does not repay. Medians of 7 interleaved runs on 2 cores
-# (cKDTree.query, workers=1 against workers=-1): 0.39 / 0.56 ms at
-# q = 220 (n = 3, k = 11), 0.92 / 1.08 ms at q = 220 and 2.73 / 2.73 ms
-# at q = 500 (n = 2, k = 41), and 16.4 / 11.8 ms at q = 1000 (n = 6,
-# k = 41), where -1 wins at every n.
-_SERIAL_ROWS = 512
 
 
 def similarity_from_distance(d, n_d: float):
@@ -85,19 +79,16 @@ class NeighborIndex:
     bit for bit.
     """
 
-    def __init__(self, points: np.ndarray, method: str = "auto") -> None:
-        if method == "auto":
-            method = "tree" if points.shape[1] <= _TREE_MAX_DIM else "brute"
-        if method not in ("tree", "brute"):
-            raise ValueError(f"unknown index method {method!r}")
+    def __init__(self, points: np.ndarray) -> None:
         self._exp = int(np.frexp(np.abs(points).max(initial=0.0))[1])
         self._points = np.ldexp(points, -self._exp)
-        self._method = method
-        self._tree = cKDTree(self._points) if method == "tree" else None
+        self._tree = (
+            cKDTree(self._points) if points.shape[1] <= _TREE_MAX_DIM else None
+        )
 
     @property
     def method(self) -> str:
-        return self._method
+        return "brute" if self._tree is None else "tree"
 
     def distances_all(self, k: int) -> np.ndarray:
         """Ascending distances to the k nearest neighbors of every point.
@@ -109,32 +100,33 @@ class NeighborIndex:
         """
         q = self._points.shape[0]
         if not 1 <= k <= q - 1:
-            raise InvalidTopR(f"k = {k} but only {q - 1} other points exist")
+            raise InvalidTopR(f"s_n = {k} but only {q - 1} other points exist")
+        if self._tree is None:
+            order, rows, nearest = np.arange(q), max(1, _BRUTE_CELLS // q), self._scan
+        else:
+            order, rows, nearest = self._tree.indices, _BLOCK, self._query
         out = np.empty((q, k))
-        if self._tree is not None:
-            order = self._tree.indices  # point indices in leaf order
-            for start in range(0, q, _BLOCK):
-                block = order[start : start + _BLOCK]
-                workers = 1 if len(block) < _SERIAL_ROWS else -1
-                # Each point sees distance 0 to itself, so column 0 is
-                # always one zero entry; dropping it leaves the k true
-                # neighbor distances (a duplicate twin may stand in for
-                # self, at the same distance 0). The block's arrays are
-                # dropped before the next query allocates its own.
-                out[block] = self._tree.query(
-                    self._points[block], k=k + 1, workers=workers
-                )[0][:, 1:]
-            return np.ldexp(out, self._exp, out=out)
-        rows = max(1, _BRUTE_CELLS // q)
         for start in range(0, q, rows):
-            stop = min(start + rows, q)
-            dist = cdist(self._points[start:stop], self._points)
-            dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
-            dist.partition(k - 1, axis=1)
-            part = dist[:, :k]
-            part.sort(axis=1)
-            out[start:stop] = part
+            block = order[start : start + rows]
+            # Each point is at distance 0 from itself, so column 0 is
+            # always a zero; dropping it leaves the k true neighbor
+            # distances (a duplicate twin, or a point whose differences
+            # underflow, may stand in for self at the same 0). The block's
+            # arrays are dropped before the next block allocates its own.
+            out[block] = nearest(self._points[block], k + 1)[:, 1:]
         return np.ldexp(out, self._exp, out=out)
+
+    def _query(self, rows: np.ndarray, m: int) -> np.ndarray:
+        """Ascending distances from each row to its m nearest points, by kd-tree."""
+        return self._tree.query(rows, k=m, workers=-1)[0]
+
+    def _scan(self, rows: np.ndarray, m: int) -> np.ndarray:
+        """Ascending distances from each row to its m nearest points, by brute force."""
+        dist = cdist(rows, self._points)
+        dist.partition(m - 1, axis=1)
+        nearest = dist[:, :m]
+        nearest.sort(axis=1)
+        return nearest
 
 
 def neighbor_distances(data: Dataset, k: int) -> np.ndarray:

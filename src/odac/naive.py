@@ -100,7 +100,7 @@ def score_all_naive(data: Dataset, params: Params) -> ScoreReport:
     aug = augment(data)
     if params.s_n > data.q - 1:
         raise InvalidTopR(
-            f"s_n = {params.s_n} but only {data.q - 1} reference points exist"
+            f"s_n = {params.s_n} but only {data.q - 1} other points exist"
         )
     scores = np.empty(data.q)
     for i, xi in enumerate(aug):

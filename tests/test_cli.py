@@ -110,6 +110,25 @@ def test_score_rejects_oversized_sn(tmp_path):
     assert code == 1  # depends on the data, so a data error
 
 
+def test_score_undecodable_input_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(b"x,y\n1,2\n\xe9,3\n4,5\n")  # 0xE9 is not UTF-8 here
+    code = main(["score", "--in", str(data), "--header", "--nd", "5", "--sn", "1"])
+    assert code == 1
+    assert "can't decode byte 0xe9" in capsys.readouterr().err
+
+
+def test_scorers_word_oversized_sn_alike(tmp_path, capsys):
+    data = tmp_path / "three.csv"
+    data.write_text("0,0\n1,0\n3,0\n")
+    errors = []
+    for scorer in ("fast", "naive"):
+        code = main(["score", "--in", str(data), "--sn", "5", "--scorer", scorer])
+        assert code == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == ["odac score: s_n = 5 but only 2 other points exist\n"] * 2
+
+
 def test_eval_percentile_mode(tmp_path, capsys):
     scene = run_generate(tmp_path)
     code = main(

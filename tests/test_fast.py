@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from odac import Dataset, InvalidTopR, Params, score_all_fast, score_all_naive
 from odac import fast
@@ -34,6 +35,14 @@ def test_transform_decreasing():
     assert np.all((s > 0) & (s <= 1))
 
 
+def index_on(path, points, monkeypatch):
+    """A NeighborIndex forced onto the "tree" or the "brute" path."""
+    monkeypatch.setattr(fast, "_TREE_MAX_DIM", points.shape[1] if path == "tree" else 0)
+    index = NeighborIndex(points)
+    assert index.method == path
+    return index
+
+
 class TestNeighborIndex:
     def test_collinear_two_nn(self):
         index = NeighborIndex(np.array([[0.0, 0], [1.0, 0], [3.0, 0]]))
@@ -41,46 +50,46 @@ class TestNeighborIndex:
             [1.0, 3.0], [1.0, 2.0], [2.0, 3.0],
         ]
 
-    def test_all_others_for_full_k(self):
+    def test_all_others_for_full_k(self, monkeypatch):
         rng = np.random.default_rng(21)
         points = random_dataset(rng, 9, 3).points
         pairwise = np.linalg.norm(points[:, None] - points[None], axis=2)
         expected = np.sort(pairwise, axis=1)[:, 1:]  # column 0 is self
-        for method in ("tree", "brute"):
-            got = NeighborIndex(points, method=method).distances_all(8)
+        for path in ("tree", "brute"):
+            got = index_on(path, points, monkeypatch).distances_all(8)
             np.testing.assert_allclose(got, expected, rtol=1e-12)
 
-    def test_tied_distances(self):
+    def test_tied_distances(self, monkeypatch):
         # Four points at distance exactly 1 from the origin point.
         pts = np.array([[0.0, 0], [0, 1], [1, 0], [0, -1], [-1, 0], [5, 5]])
-        for method in ("tree", "brute"):
-            dist = NeighborIndex(pts, method=method).distances_all(2)
+        for path in ("tree", "brute"):
+            dist = index_on(path, pts, monkeypatch).distances_all(2)
             assert dist[0].tolist() == [1.0, 1.0]
 
-    def test_duplicate_twin_is_a_neighbor_but_self_is_not(self):
+    def test_duplicate_twin_is_a_neighbor_but_self_is_not(self, monkeypatch):
         pts = np.array([[2.0, 2.0], [2.0, 2.0], [9.0, 9.0], [2.0, 2.0]])
-        for method in ("tree", "brute"):
-            dist = NeighborIndex(pts, method=method).distances_all(3)
+        for path in ("tree", "brute"):
+            dist = index_on(path, pts, monkeypatch).distances_all(3)
             assert dist[1].tolist() == [0.0, 0.0, 7.0 * np.sqrt(2.0)]
             assert dist[2, 0] == 7.0 * np.sqrt(2.0)
 
-    def test_tree_and_brute_agree(self):
+    def test_tree_and_brute_agree(self, monkeypatch):
         rng = np.random.default_rng(22)
         points = random_dataset(rng, 80, 4).points
         np.testing.assert_allclose(
-            NeighborIndex(points, method="tree").distances_all(11),
-            NeighborIndex(points, method="brute").distances_all(11),
+            index_on("tree", points, monkeypatch).distances_all(11),
+            index_on("brute", points, monkeypatch).distances_all(11),
             rtol=1e-12,
         )
 
-    def test_brute_blocks_agree_with_tree(self):
+    def test_brute_blocks_agree_with_tree(self, monkeypatch):
         rng = np.random.default_rng(28)
         q = 3000
         assert fast._BRUTE_CELLS // q < q  # several blocks, the last one short
         points = random_dataset(rng, q, 4).points
         np.testing.assert_allclose(
-            NeighborIndex(points, method="brute").distances_all(7),
-            NeighborIndex(points, method="tree").distances_all(7),
+            index_on("brute", points, monkeypatch).distances_all(7),
+            index_on("tree", points, monkeypatch).distances_all(7),
             rtol=1e-12,
         )
 
@@ -95,11 +104,11 @@ class TestNeighborIndex:
         assert dist.shape == (10_000, 5)
         assert np.all(np.diff(dist, axis=1) >= 0)
 
-    def test_k_out_of_range(self):
+    def test_k_out_of_range(self, monkeypatch):
         rng = np.random.default_rng(25)
         points = random_dataset(rng, 6, 2).points
-        for method in ("tree", "brute"):
-            index = NeighborIndex(points, method=method)
+        for path in ("tree", "brute"):
+            index = index_on(path, points, monkeypatch)
             for k in (0, 6):
                 with pytest.raises(InvalidTopR):
                     index.distances_all(k)
@@ -236,42 +245,78 @@ class TestScoresFromDistances:
 
 
 class TestBlockedPass:
-    """The tree pass and the transform at block sizes a test can reach."""
+    """The k-NN pass and the transform at block sizes a test can reach."""
 
     @pytest.fixture
     def queries(self, monkeypatch):
-        """Shrink the blocks to 7 rows and record every tree query."""
+        """Shrink the tree blocks to 7 rows and record every query's size."""
         calls = []
 
         class RecordingTree(fast.cKDTree):
             def query(self, x, *args, **kwargs):
-                calls.append((len(x), kwargs.get("workers")))
+                calls.append(len(x))
                 return super().query(x, *args, **kwargs)
 
         monkeypatch.setattr(fast, "_BLOCK", 7)
         monkeypatch.setattr(fast, "cKDTree", RecordingTree)
         return calls
 
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Force the brute path at 100 cells per block and record every block's rows."""
+        calls = []
+
+        def recording_cdist(rows, points):
+            calls.append(len(rows))
+            return cdist(rows, points)
+
+        monkeypatch.setattr(fast, "_TREE_MAX_DIM", 0)
+        monkeypatch.setattr(fast, "_BRUTE_CELLS", 100)
+        monkeypatch.setattr(fast, "cdist", recording_cdist)
+        return calls
+
+    @staticmethod
+    def points_with_twin(q):
+        points = random_dataset(np.random.default_rng(q), q, 3).points.copy()
+        points[q // 2] = points[0]  # a duplicate twin
+        return points
+
     @pytest.mark.parametrize("q", [7, 29, 36])  # one block; a short last one; a 1-row last one
     def test_blocks_match_unblocked_input_order_query(self, queries, q):
-        rng = np.random.default_rng(q)
-        points = random_dataset(rng, q, 3).points.copy()
-        points[q // 2] = points[0]  # a duplicate twin
+        points = self.points_with_twin(q)
         k = min(5, q - 1)
         params = Params(n_d=3.0, s_n=k)
         reference = cKDTree(points).query(points, k=k + 1)[0][:, 1:]
         sims = similarity_from_distance(reference, params.n_d)
         reference_scores = sims[:, ::-1].sum(axis=1)
 
-        dist = NeighborIndex(points, method="tree").distances_all(k)
+        dist = NeighborIndex(points).distances_all(k)
         assert np.array_equal(dist, reference)
         assert np.array_equal(score_all_fast(Dataset(points), params).scores, reference_scores)
-        sizes = [size for size, _ in queries]
-        assert sizes == 2 * ([7] * (q // 7) + ([q % 7] if q % 7 else []))
-        assert max(sizes) <= fast._BLOCK
+        assert queries == 2 * ([7] * (q // 7) + ([q % 7] if q % 7 else []))
 
-    def test_workers_by_block_size(self, queries, monkeypatch):
-        monkeypatch.setattr(fast, "_SERIAL_ROWS", 6)
-        points = random_dataset(np.random.default_rng(31), 33, 3).points
-        NeighborIndex(points, method="tree").distances_all(4)
-        assert queries == [(7, -1)] * 4 + [(5, 1)]
+    @pytest.mark.parametrize("q", [7, 29, 36])  # one block; 3-row blocks; 2-row blocks
+    def test_brute_blocks_match_unblocked_distances(self, scans, q):
+        points = self.points_with_twin(q)
+        k = min(5, q - 1)
+        reference = np.sort(cdist(points, points), axis=1)[:, 1 : k + 1]
+
+        assert np.array_equal(NeighborIndex(points).distances_all(k), reference)
+        assert sum(scans) == q
+        assert max(scans) <= fast._BRUTE_CELLS // q
+
+    @pytest.mark.parametrize("path", ["tree", "brute"])
+    def test_underflowing_difference_reads_as_a_twin(self, monkeypatch, path):
+        # Points 0 and 1 differ by 1e-200, whose square underflows, so their
+        # distance is 0 as for the duplicate twin 2. Two-row blocks split them.
+        points = np.array([[1.0, 0], [1.0, 1e-200], [1.0, 0], [4.0, 4], [1.0, -3]])
+        monkeypatch.setattr(fast, "_BLOCK", 2)
+        monkeypatch.setattr(fast, "_BRUTE_CELLS", 2 * len(points))
+        dist = index_on(path, points, monkeypatch).distances_all(3)
+        assert dist.tolist() == [
+            [0.0, 0.0, 3.0],
+            [0.0, 0.0, 3.0],
+            [0.0, 0.0, 3.0],
+            [5.0, 5.0, 5.0],
+            [3.0, 3.0, 3.0],
+        ]
