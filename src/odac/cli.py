@@ -206,8 +206,8 @@ def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OdacError, OSError, UnicodeDecodeError) as exc:
-        error, code = exc, 1  # UnicodeDecodeError is a ValueError, but of the input
+    except (OdacError, OSError) as exc:
+        error, code = exc, 1
     except ValueError as exc:
         error, code = exc, 2
     print(f"odac {args.command}: {error}", file=sys.stderr)

@@ -16,8 +16,13 @@ Scoring splits into two steps:
     the same row. One loop over row blocks serves both index paths: the
     kd-tree takes blocks in its leaf order, so each block's queries walk
     nearby nodes, and the brute-force scan takes blocks in input order,
-    sized so a block of distances stays small. Each block's k + 1
-    nearest distances are written, minus column 0, into one (q, k) array.
+    sized so a block of distances stays small. The scan ranks a block
+    against every point with one BLAS matrix product of the expanded
+    squared distance, recomputes the few best candidates exactly, in
+    cdist's order, and rescans by cdist any row whose ranking rounding
+    could have changed (the FAISS scheme, Johnson et al. 2017). Each
+    block's k + 1 nearest distances are written, minus column 0, into
+    one (q, k) array.
   * `scores_from_distances(dist, params)` applies the transform to the
     first s_n columns and sums them, one block of rows at a time, so
     only a block of similarities is ever held.
@@ -40,9 +45,14 @@ from .types import Dataset, Params, ScoreReport, validate_dataset
 # kd-tree pruning degrades as dimensionality grows; past this width a
 # blocked brute-force scan is both simpler and faster.
 _TREE_MAX_DIM = 20
-# Cells per brute-force distance block (32 MiB of float64), so the scan's
-# memory stays flat as q grows.
-_BRUTE_CELLS = 1 << 22
+# Cells per brute-force block. A block holds its (rows, q) float64
+# squared-distance estimates and the int64 indices `np.argpartition`
+# returns for them: 32 MiB together, so the scan's memory stays flat as
+# q grows.
+_BRUTE_CELLS = 1 << 21
+# Candidates per row beyond the m nearest the brute scan must report, so a
+# row's cut usually clears its m-th distance by more than rounding error.
+_SPARE = 8
 # Rows per kd-tree query block and per transform block. Each tree block
 # holds (k + 1) distances and indices per row, 16 B each: 2.6 MiB at
 # k = 40, held next to the (q, k) output. Measured on 2 cores, median of
@@ -82,9 +92,15 @@ class NeighborIndex:
     def __init__(self, points: np.ndarray) -> None:
         self._exp = int(np.frexp(np.abs(points).max(initial=0.0))[1])
         self._points = np.ldexp(points, -self._exp)
-        self._tree = (
-            cKDTree(self._points) if points.shape[1] <= _TREE_MAX_DIM else None
-        )
+        if points.shape[1] <= _TREE_MAX_DIM:
+            self._tree = cKDTree(self._points)
+            return
+        self._tree = None
+        # The brute scan ranks candidates on points centred on their mean:
+        # the expanded squared distance then rounds relative to the spread
+        # of the data, not to its offset from the origin.
+        self._centred = self._points - self._points.mean(axis=0)
+        self._norms = np.einsum("ij,ij->i", self._centred, self._centred)
 
     @property
     def method(self) -> str:
@@ -113,20 +129,74 @@ class NeighborIndex:
             # distances (a duplicate twin, or a point whose differences
             # underflow, may stand in for self at the same 0). The block's
             # arrays are dropped before the next block allocates its own.
-            out[block] = nearest(self._points[block], k + 1)[:, 1:]
+            out[block] = nearest(block, k + 1)[:, 1:]
         return np.ldexp(out, self._exp, out=out)
 
-    def _query(self, rows: np.ndarray, m: int) -> np.ndarray:
-        """Ascending distances from each row to its m nearest points, by kd-tree."""
-        return self._tree.query(rows, k=m, workers=-1)[0]
+    def _query(self, block: np.ndarray, m: int) -> np.ndarray:
+        """Ascending distances from each block point to its m nearest points, by kd-tree."""
+        return self._tree.query(self._points[block], k=m, workers=-1)[0]
 
-    def _scan(self, rows: np.ndarray, m: int) -> np.ndarray:
-        """Ascending distances from each row to its m nearest points, by brute force."""
-        dist = cdist(rows, self._points)
-        dist.partition(m - 1, axis=1)
-        nearest = dist[:, :m]
+    def _scan(self, block: np.ndarray, m: int) -> np.ndarray:
+        """Ascending distances from each block point to its m nearest points, by brute force.
+
+        One matrix product ranks every point for the block by the expanded
+        squared distance |a|^2 + |b|^2 - 2ab (less the row constant |a|^2),
+        and the m + _SPARE smallest become candidates. Their distances are
+        then computed exactly, as cdist computes them, and a row whose cut
+        is too close to its m-th distance to trust the ranking is scanned
+        again by `_nearest_exact`. So the result is cdist's, bit for bit.
+        """
+        q, n = self._points.shape
+        width = min(m + _SPARE, q)
+        lead = self._centred[block]
+        lead *= -2.0  # exact; cheaper than scaling the (rows, q) product
+        approx = lead @ self._centred.T
+        approx += self._norms
+        cand = np.argpartition(approx, width - 1, axis=1)[:, :width]
+        cut = approx[np.arange(len(block)), cand[:, -1]]  # the width-th smallest
+        del approx
+        rows = self._points[block]
+        sq = _squared_distances(rows, self._points[cand])
+        sq.partition(m - 1, axis=1)
+        # A point outside the candidates has an estimate >= cut, so its
+        # squared distance is at least cut + |a|^2 less the rounding of
+        # both formulas. Each is a length-n dot product or sum of squares
+        # of values bounded by |a|^2 + max |b|^2 (centring rounds each
+        # coordinate once), so all of it stays below 16 (n + 2) eps times
+        # that sum, or below the smallest normal double when it underflows.
+        # A row whose margin is smaller is scanned again.
+        slack = 16 * (n + 2) * np.finfo(float).eps * (self._norms[block] + self._norms.max())
+        close = cut + self._norms[block] - sq[:, m - 1] <= slack + np.finfo(float).tiny
+        nearest = sq[:, :m]
+        np.sqrt(nearest, out=nearest)
         nearest.sort(axis=1)
+        if width < q and close.any():
+            nearest[close] = _nearest_exact(rows[close], self._points, m)
         return nearest
+
+
+def _squared_distances(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """(b, c) squared distances from rows (b, n) to their candidates (b, c, n).
+
+    Squares are summed one coordinate at a time, in cdist's order, so the
+    square roots are cdist's distances bit for bit. `candidates` is
+    overwritten.
+    """
+    diff = np.subtract(candidates, rows[:, None, :], out=candidates)
+    diff *= diff
+    sq = diff[:, :, 0].copy()
+    for j in range(1, diff.shape[2]):
+        sq += diff[:, :, j]
+    return sq
+
+
+def _nearest_exact(rows: np.ndarray, points: np.ndarray, m: int) -> np.ndarray:
+    """Ascending distances from each row to its m nearest points, by cdist."""
+    dist = cdist(rows, points)
+    dist.partition(m - 1, axis=1)
+    nearest = dist[:, :m]
+    nearest.sort(axis=1)
+    return nearest
 
 
 def neighbor_distances(data: Dataset, k: int) -> np.ndarray:

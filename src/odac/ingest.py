@@ -8,6 +8,9 @@ label column holds more than 0/1, the source is read again by the
 per-cell row loop `_read_rows`. The loop is the only reader of text
 streams and species tables, and the only source of `ParseError` and
 `RaggedRows`, so every error names the line and field it always did.
+Paths and byte streams are decoded with "surrogateescape", so a byte
+that is not UTF-8 reads as a lone surrogate: numpy's parser declines
+it, and the loop reports the physical line holding the first one.
 
 CSV conventions: UTF-8 (one leading byte-order mark is ignored), comma
 separated, decimal numbers. An optional header row names the columns;
@@ -21,7 +24,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import os
+import re
 import warnings
 from typing import Union
 
@@ -31,6 +36,8 @@ from .errors import ParseError, RaggedRows
 from .types import Dataset, LabeledDataset, ScoreReport, validate_dataset
 
 Source = Union[str, os.PathLike, io.IOBase]
+# What "surrogateescape" decodes an invalid byte 0x80..0xFF to.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def preprocess(
@@ -60,15 +67,17 @@ def _text_handle(source: Source, mode: str):
 
     A path is opened and closed here. A caller's stream is left open: a
     byte stream is used through a wrapper that is detached afterwards,
-    so the wrapper never closes it.
+    so the wrapper never closes it. Paths and byte streams are read with
+    "surrogateescape", so invalid bytes reach `_text_lines` to be named.
     """
+    errors = "surrogateescape" if mode == "r" else "strict"
     if isinstance(source, (str, os.PathLike)):
-        with open(source, mode, encoding="utf-8", newline="") as handle:
+        with open(source, mode, encoding="utf-8", errors=errors, newline="") as handle:
             yield handle
     elif isinstance(source, io.TextIOBase):
         yield source
     else:
-        handle = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        handle = io.TextIOWrapper(source, encoding="utf-8", errors=errors, newline="")
         try:
             yield handle
         finally:
@@ -76,9 +85,18 @@ def _text_handle(source: Source, mode: str):
 
 
 def _text_lines(handle):
-    """Yield the lines of a text handle, without one leading byte-order mark."""
-    yield handle.readline().removeprefix("\ufeff")
-    yield from handle
+    """Yield the lines of a text handle, without one leading byte-order mark.
+
+    Raises:
+        ParseError: on the first line holding a byte that is not UTF-8
+            (an escaped surrogate U+DC80..U+DCFF).
+    """
+    lines = itertools.chain([handle.readline().removeprefix("\ufeff")], handle)
+    for line_no, line in enumerate(lines, start=1):
+        if not line.isascii() and (bad := _UNDECODABLE.search(line)):
+            byte = ord(bad.group()) - 0xDC00
+            raise ParseError(line_no, 0, f"byte 0x{byte:02x} is not UTF-8")
+        yield line
 
 
 def _parse_float(text: str, line_no: int, field_no: int) -> float:
@@ -145,15 +163,15 @@ def _read_fast(handle, start, has_header: bool, label_column):
     loop's bit for bit: both parse a cell with the same string-to-double
     conversion.
     """
-    try:  # a UnicodeDecodeError is a ValueError too
+    try:
         if handle.read(1) != "\ufeff":
             handle.seek(start)
         header = None
         if has_header:
             line = handle.readline()
             header = [f.strip() for f in line.rstrip("\r\n").split(",")]
-            if '"' in line or not any(header):
-                return None  # a quoted or blank first line: the loop decides
+            if '"' in line or not any(header) or _UNDECODABLE.search(line):
+                return None  # a quoted, blank or undecodable first line: the loop decides
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # "no data" is declined below
             table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
@@ -238,8 +256,9 @@ def read_csv(
             a LabeledDataset is returned.
 
     Raises:
-        ParseError: Empty input, unparseable cell, or bad label value
-            (1-based line/field position reported).
+        ParseError: Empty input, unparseable cell, bad label value, or
+            a byte that is not UTF-8 (1-based line/field position
+            reported; field 0 for a byte).
         RaggedRows: A row whose field count differs from the first row.
         TooFewPoints / TooFewDimensions / NonFiniteValue: Validation of
             the parsed matrix.

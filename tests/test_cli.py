@@ -115,7 +115,7 @@ def test_score_undecodable_input_is_a_data_error(tmp_path, capsys):
     data.write_bytes(b"x,y\n1,2\n\xe9,3\n4,5\n")  # 0xE9 is not UTF-8 here
     code = main(["score", "--in", str(data), "--header", "--nd", "5", "--sn", "1"])
     assert code == 1
-    assert "can't decode byte 0xe9" in capsys.readouterr().err
+    assert capsys.readouterr().err == "odac score: line 3, field 0: byte 0xe9 is not UTF-8\n"
 
 
 def test_scorers_word_oversized_sn_alike(tmp_path, capsys):

@@ -265,15 +265,34 @@ class TestBlockedPass:
     def scans(self, monkeypatch):
         """Force the brute path at 100 cells per block and record every block's rows."""
         calls = []
+        scan = NeighborIndex._scan
 
-        def recording_cdist(rows, points):
-            calls.append(len(rows))
-            return cdist(rows, points)
+        def recording_scan(index, block, m):
+            calls.append(len(block))
+            return scan(index, block, m)
 
         monkeypatch.setattr(fast, "_TREE_MAX_DIM", 0)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 100)
-        monkeypatch.setattr(fast, "cdist", recording_cdist)
+        monkeypatch.setattr(NeighborIndex, "_scan", recording_scan)
         return calls
+
+    @pytest.fixture
+    def rescans(self, monkeypatch):
+        """Force the brute path and record the rows of every exact rescan."""
+        calls = []
+
+        def recording_rescan(rows, points, m):
+            calls.append(len(rows))
+            return nearest_exact(rows, points, m)
+
+        nearest_exact = fast._nearest_exact
+        monkeypatch.setattr(fast, "_TREE_MAX_DIM", 0)
+        monkeypatch.setattr(fast, "_nearest_exact", recording_rescan)
+        return calls
+
+    @staticmethod
+    def sorted_cdist(points, k):
+        return np.sort(cdist(points, points), axis=1)[:, 1 : k + 1]
 
     @staticmethod
     def points_with_twin(q):
@@ -299,11 +318,39 @@ class TestBlockedPass:
     def test_brute_blocks_match_unblocked_distances(self, scans, q):
         points = self.points_with_twin(q)
         k = min(5, q - 1)
-        reference = np.sort(cdist(points, points), axis=1)[:, 1 : k + 1]
+        reference = self.sorted_cdist(points, k)
 
         assert np.array_equal(NeighborIndex(points).distances_all(k), reference)
         assert sum(scans) == q
         assert max(scans) <= fast._BRUTE_CELLS // q
+
+    def test_ties_at_the_cut_are_rescanned(self, rescans):
+        # The origin and the 24 unit vectors of 24-D: the origin has all
+        # others at 1, and each unit vector the origin at 1 and 23 others at
+        # sqrt(2). So every row's 6th nearest ties its 14th candidate, and
+        # all 25 rows are rescanned in one batch.
+        points = np.vstack([np.zeros(24), np.eye(24)])
+        dist = NeighborIndex(points).distances_all(5)
+        assert np.array_equal(dist, self.sorted_cdist(points, 5))
+        assert rescans == [25]
+
+    def test_translated_scene_is_exact_without_rescan(self, rescans, monkeypatch):
+        # Centring keeps the expanded formula's rounding at the scale of the
+        # spread (1), not of the offset (1e6), where no margin would clear it.
+        monkeypatch.setattr(fast, "_BRUTE_CELLS", 300 * 37)
+        points = np.random.default_rng(31).uniform(size=(300, 32)) + 1e6
+        dist = NeighborIndex(points).distances_all(7)
+        assert np.array_equal(dist, self.sorted_cdist(points, 7))
+        assert rescans == []
+
+    @pytest.mark.parametrize("q", [3, 9, 14])  # q <= k + 1 + _SPARE: every point a candidate
+    def test_every_point_a_candidate(self, rescans, q):
+        points = np.vstack([np.zeros(24), np.eye(24)])[:q]  # ties at every cut
+        k = min(5, q - 1)
+        assert k + 1 + fast._SPARE >= q
+        dist = NeighborIndex(points).distances_all(k)
+        assert np.array_equal(dist, self.sorted_cdist(points, k))
+        assert rescans == []
 
     @pytest.mark.parametrize("path", ["tree", "brute"])
     def test_underflowing_difference_reads_as_a_twin(self, monkeypatch, path):

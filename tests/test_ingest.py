@@ -296,7 +296,10 @@ def _outcome(read):
 
 
 def _handle(data):
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    """The text handle `_read_table` opens on a byte stream."""
+    return io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline=""
+    )
 
 
 _WHITESPACE = st.sampled_from(
@@ -390,6 +393,28 @@ def test_fast_reader_declines_to_the_loop(kind, tmp_path):
 
 @pytest.mark.parametrize("data", [b"x,y\n1,2\n\xff,3\n4,5\n", b"\xff,y\n1,2\n3,3\n4,5\n"])
 def test_undecodable_bytes_raise_as_in_the_loop(data):
+    line = data[: data.index(b"\xff")].count(b"\n") + 1
     loop = _outcome(lambda: ingest._read_rows(_handle(data), True, None, False))
-    assert loop[0] is UnicodeDecodeError
+    assert loop == (ParseError, line, 0, f"line {line}, field 0: byte 0xff is not UTF-8")
     assert _outcome(lambda: ingest._read_table(io.BytesIO(data), True, None, False)) == loop
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes"])
+def test_undecodable_byte_names_its_physical_line(kind, tmp_path):
+    # Far past numpy's and the decoder's first chunks; "\r" and "\r\n" end
+    # lines too, and a quoted cell spans two lines before the bad byte.
+    head = "x,y\r\n" + "1,2\n" * 50_000 + '"3\n",4\r5,'
+    data = head.encode() + b"\xe96\n7,8\xff\n"
+    if kind == "path":
+        source = tmp_path / "latin1.csv"
+        source.write_bytes(data)
+    else:
+        source = io.BytesIO(data)
+    with pytest.raises(ParseError) as err:
+        read_csv(source, has_header=True)
+    assert (err.value.line, err.value.column) == (50_004, 0)
+    assert str(err.value) == "line 50004, field 0: byte 0xe9 is not UTF-8"
+    if kind == "bytes":
+        source.seek(0)
+    with pytest.raises(ParseError, match="line 50004, field 0: byte 0xe9"):
+        read_species_table(source, has_header=True)
