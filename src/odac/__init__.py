@@ -31,6 +31,7 @@ from .errors import (
     OdacError,
     ParseError,
     RaggedRows,
+    SimilarityUnderflow,
     TooFewDimensions,
     TooFewPoints,
 )
@@ -80,4 +81,5 @@ __all__ = [
     "ParseError",
     "RaggedRows",
     "NoOutliersLabeled",
+    "SimilarityUnderflow",
 ]

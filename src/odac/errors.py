@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 
 class OdacError(Exception):
     """Base class for all odac errors."""
@@ -65,3 +67,22 @@ class RaggedRows(OdacError):
 
 class NoOutliersLabeled(OdacError):
     """Evaluation requires at least one point labeled as an outlier."""
+
+
+class SimilarityUnderflow(OdacError):
+    """A similarity that a score sums is below the smallest normal double.
+
+    A subnormal similarity keeps too few significant bits for the scores
+    to be trusted, so both scorers reject such input instead. It arises
+    when n_d is far smaller than the neighbour distances.
+
+    Attributes:
+        n_d: The observation offset that was rejected.
+    """
+
+    def __init__(self, n_d: float) -> None:
+        self.n_d = n_d
+        super().__init__(
+            f"n_d = {n_d:g} is too small for these points: a summed similarity "
+            f"falls below the smallest normal double ({sys.float_info.min:g})"
+        )

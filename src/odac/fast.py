@@ -13,16 +13,21 @@ Scoring splits into two steps:
   * `neighbor_distances(data, k)` runs the one exact k-NN pass and
     returns every point's ascending neighbor distances. They do not
     depend on n_d, and the distances for any s_n <= k are a prefix of
-    the same row. One loop over row blocks serves both index paths: the
+    the same row. One loop over row blocks serves both index paths. The
     kd-tree takes blocks in its leaf order, so each block's queries walk
-    nearby nodes, and the brute-force scan takes blocks in input order,
-    sized so a block of distances stays small. The scan ranks a block
-    against every point with one BLAS matrix product of the expanded
-    squared distance, recomputes the few best candidates exactly, in
-    cdist's order, and rescans by cdist any row whose ranking rounding
-    could have changed (the FAISS scheme, Johnson et al. 2017). Each
-    block's k + 1 nearest distances are written, minus column 0, into
-    one (q, k) array.
+    nearby nodes. It is a sliding-midpoint tree (Maneewongvatana & Mount
+    1999) with leaves of up to _LEAF points: each cell is split at the
+    midpoint of its widest side, the cut sliding to the nearest point when
+    one side would be empty. On clustered data that prunes far more than a
+    median split, and the distances are the same bits, since the shape
+    only decides which pairs a query visits. The brute-force scan takes
+    blocks in input order, sized so a block of distances stays small. It
+    ranks a block against every point with one BLAS matrix product of
+    the expanded squared distance, recomputes the few best candidates
+    exactly, in cdist's order, and rescans by cdist any row whose ranking
+    rounding could have changed (the FAISS scheme, Johnson et al. 2017).
+    Each block's k + 1 nearest distances are written, minus column 0,
+    into one (q, k) array.
   * `scores_from_distances(dist, params)` applies the transform to the
     first s_n columns and sums them, one block of rows at a time, so
     only a block of similarities is ever held.
@@ -39,7 +44,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import InvalidTopR
+from .errors import InvalidTopR, SimilarityUnderflow
 from .types import Dataset, Params, ScoreReport, validate_dataset
 
 # kd-tree pruning degrades as dimensionality grows; past this width a
@@ -55,12 +60,21 @@ _BRUTE_CELLS = 1 << 21
 _SPARE = 8
 # Rows per kd-tree query block and per transform block. Each tree block
 # holds (k + 1) distances and indices per row, 16 B each: 2.6 MiB at
-# k = 40, held next to the (q, k) output. Measured on 2 cores, median of
-# 5 interleaved `distances_all` runs and its tracemalloc peak: at q = 10^5,
-# n = 6, k = 40, 2.08 s / 33 MiB at 2^12 against 2.03 s / 53 MiB at 2^15;
-# at q = 1.5 * 10^4, k = 80, 0.28 s at every size, 14 MiB at 2^12 and
-# 20 MiB at 2^13, where one unblocked query peaks at 18.5 MiB.
+# k = 40, held next to the (q, k) output. Measured with the sliding-
+# midpoint tree on 2 cores: medians of 3-9 interleaved `distances_all`
+# runs on normalised 6-D `datagen` scenes, and the tracemalloc peak of
+# one run. At q = 10^5, k = 40, blocks of 2^11 to 2^14 rows all took
+# 4.0-4.9 s, and no size was fastest at every leaf size (peaks 37.2,
+# 38.6, 41.4 and 46.9 MiB); at q = 1.5 * 10^4, k = 80, 0.60-0.74 s
+# (peaks 12.6, 15.2, 20.5 and 29.2 MiB). So memory decides.
 _BLOCK = 1 << 12
+# Points per kd-tree leaf. Same runs at _BLOCK: medians 4.6, 4.4, 4.5,
+# 4.5 and 4.9 s at leaf sizes 16, 24, 32, 48 and 64 for q = 10^5, against
+# 7.0 s for scipy's default median-split tree (leaves of 16); 0.70, 0.65,
+# 0.64, 0.62 and 0.64 s for q = 1.5 * 10^4, against 0.80 s. Sizes 24 to
+# 48 are within the runs' spread (about 0.5 s at q = 10^5), and 32 sits
+# in the middle of that flat range.
+_LEAF = 32
 
 
 def similarity_from_distance(d, n_d: float):
@@ -93,7 +107,7 @@ class NeighborIndex:
         self._exp = int(np.frexp(np.abs(points).max(initial=0.0))[1])
         self._points = np.ldexp(points, -self._exp)
         if points.shape[1] <= _TREE_MAX_DIM:
-            self._tree = cKDTree(self._points)
+            self._tree = cKDTree(self._points, leafsize=_LEAF, balanced_tree=False)
             return
         self._tree = None
         # The brute scan ranks candidates on points centred on their mean:
@@ -220,11 +234,18 @@ def scores_from_distances(dist: np.ndarray, params: Params) -> ScoreReport:
 
     Raises:
         InvalidTopR: params.s_n exceeds the k columns of `dist`.
+        SimilarityUnderflow: a summed similarity is below the smallest
+            normal double.
     """
     if params.s_n > dist.shape[1]:
         raise InvalidTopR(
             f"s_n = {params.s_n} but only {dist.shape[1]} neighbor distances per point"
         )
+    # The similarity falls as the distance grows, so the smallest one any
+    # point sums sits at the largest distance of column s_n - 1.
+    farthest = dist[:, params.s_n - 1].max()
+    if similarity_from_distance(farthest, params.n_d) < np.finfo(float).tiny:
+        raise SimilarityUnderflow(params.n_d)
     scores = np.empty(dist.shape[0])
     for start in range(0, dist.shape[0], _BLOCK):
         block = slice(start, start + _BLOCK)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidTopR
+from .errors import InvalidTopR, SimilarityUnderflow
 from .types import Dataset, Params, ScoreReport, validate_dataset
 
 
@@ -96,6 +96,10 @@ def score_all_naive(data: Dataset, params: Params) -> ScoreReport:
 
     Returns:
         ScoreReport with scores[i] in (0, s_n].
+
+    Raises:
+        SimilarityUnderflow: a summed similarity is below the smallest
+            normal double.
     """
     aug = augment(data)
     if params.s_n > data.q - 1:
@@ -108,5 +112,8 @@ def score_all_naive(data: Dataset, params: Params) -> ScoreReport:
         sims = np.delete(cosine_similarity(o, xi, aug), i)  # S_ii = 1 is no neighbour
         # The s_n largest values, accumulated in ascending order so the
         # result is schedule-independent.
-        scores[i] = np.sum(np.sort(sims)[-params.s_n :])
+        top = np.sort(sims)[-params.s_n :]
+        if top[0] < np.finfo(float).tiny:
+            raise SimilarityUnderflow(params.n_d)
+        scores[i] = np.sum(top)
     return ScoreReport(scores)

@@ -18,6 +18,7 @@ PUBLIC = {
     "donor_trials_accuracy", "percentile_recall", "sweep",
     "OdacError", "TooFewPoints", "TooFewDimensions", "NonFiniteValue",
     "InvalidTopR", "ParseError", "RaggedRows", "NoOutliersLabeled",
+    "SimilarityUnderflow",
 }
 
 # Helpers kept out of the namespace, by the module that defines them.
@@ -37,7 +38,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_namespace_is_exactly_the_public_names():
-    assert len(odac.__all__) == len(PUBLIC) == 27
+    assert len(odac.__all__) == len(PUBLIC) == 28
     assert set(odac.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(odac, name) is not None

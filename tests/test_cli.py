@@ -89,6 +89,21 @@ def test_scorers_agree_at_tiny_n_d(tmp_path):
     ]
 
 
+def test_subnormal_similarities_exit_1_from_both_scorers(tmp_path, capsys):
+    scene = tmp_path / "points.csv"
+    scene.write_text("0,0\n0,0\n1,0\n0,2\n")
+    out = tmp_path / "ranking.csv"
+    errors = []
+    for scorer in ("fast", "naive"):
+        code = main(["score", "--in", str(scene), "--nd", "1e-320", "--sn", "2",
+                     "--scorer", scorer, "--out", str(out)])
+        assert code == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "smallest normal double" in errors[0]
+    assert not out.exists()
+
+
 def test_score_missing_file(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     code = main(["score", "--in", str(missing), "--nd", "5", "--sn", "8"])

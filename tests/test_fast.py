@@ -5,7 +5,16 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from odac import Dataset, InvalidTopR, Params, score_all_fast, score_all_naive
+from odac import (
+    Dataset,
+    InvalidTopR,
+    Params,
+    SimilarityUnderflow,
+    SyntheticSpec,
+    generate,
+    score_all_fast,
+    score_all_naive,
+)
 from odac import fast
 from odac.fast import (
     NeighborIndex,
@@ -15,7 +24,7 @@ from odac.fast import (
 )
 from odac.naive import augment, cosine_similarity, observation_point
 
-from conftest import random_dataset
+from conftest import grid_dataset, random_dataset
 
 
 def test_transform_at_zero_distance():
@@ -185,35 +194,67 @@ class TestScoreAllFast:
 
 
 @given(
-    exponent=st.floats(-300.0, 300.0),
-    nd_ratio=st.floats(0.05, 20.0),
+    # The coordinate scale and n_d, drawn jointly and log-uniform: the scale
+    # over the normal range, n_d over every positive double, subnormals too,
+    # so n_d / scale runs from about 1e-630 to 1e615.
+    scale_exp=st.floats(-307.0, 307.0),
+    nd_exp=st.floats(-323.0, 308.0),
     dim=st.sampled_from([3, 32]),  # the kd-tree path and the brute path
     seed=st.integers(0, 2**32 - 1),
+    twins=st.integers(0, 3),
     shift=st.integers(-16, 16),
 )
-@example(exponent=160.0, nd_ratio=0.5, dim=3, seed=0, shift=3)
-@example(exponent=-160.0, nd_ratio=0.5, dim=3, seed=0, shift=-3)
-@example(exponent=300.0, nd_ratio=0.5, dim=32, seed=1, shift=5)
-@settings(max_examples=100, deadline=None)
-def test_extreme_coordinate_scales(exponent, nd_ratio, dim, seed, shift):
-    """From 1e-300 to 1e300 scores stay in (0, s_n] and match the oracle."""
-    scale = 10.0**exponent
+@example(scale_exp=0.0, nd_exp=-320.0, dim=3, seed=0, twins=0, shift=0)  # subnormal n_d
+@example(scale_exp=160.0, nd_exp=159.7, dim=3, seed=0, twins=0, shift=3)
+@example(scale_exp=-160.0, nd_exp=-160.3, dim=3, seed=0, twins=1, shift=-3)
+@example(scale_exp=300.0, nd_exp=299.7, dim=32, seed=1, twins=0, shift=5)
+@example(scale_exp=-300.0, nd_exp=-320.0, dim=3, seed=2, twins=2, shift=4)  # scored
+@example(scale_exp=-307.0, nd_exp=308.0, dim=32, seed=3, twins=3, shift=0)  # saturated
+@settings(max_examples=200, deadline=None)
+def test_extreme_coordinate_scales(scale_exp, nd_exp, dim, seed, twins, shift):
+    """Over the whole double range both scorers agree, or both reject.
+
+    A draw is scored by both with scores in (0, s_n], equal within relative
+    1e-9 and ranked alike up to float ties, or both raise the same
+    SimilarityUnderflow. When the smallest similarity a point sums lies
+    within relative 1e-9 of the smallest normal double, the scorers'
+    rounding may put it on either side, so either may reject alone.
+    """
+    scale = 10.0**scale_exp
     # Coordinates in [scale, 2 * scale), so every input is a normal float.
     points = scale * np.random.default_rng(seed).uniform(1.0, 2.0, (8, dim))
-    params = Params(n_d=nd_ratio * scale, s_n=3)
-    report = score_all_fast(Dataset(points), params)
+    points[8 - twins :] = points[:twins]  # duplicate points
+    data, params = Dataset(points), Params(n_d=10.0**nd_exp, s_n=3)
+    outcomes = []
+    for scorer in (score_all_fast, score_all_naive):
+        try:
+            outcomes.append(scorer(data, params))
+        except SimilarityUnderflow as exc:
+            outcomes.append(exc)
+    report, naive = outcomes
+    rejected = [isinstance(o, SimilarityUnderflow) for o in outcomes]
+    if rejected[0] != rejected[1]:
+        farthest = neighbor_distances(data, params.s_n)[:, -1].max()
+        smallest = similarity_from_distance(farthest, params.n_d)
+        tiny = np.finfo(float).tiny
+        assert abs(smallest - tiny) <= 1e-9 * tiny
+        return
+    if rejected[0]:
+        assert str(report) == str(naive)
+        return
     assert np.all((report.scores > 0.0) & (report.scores <= params.s_n))
-    naive = score_all_naive(Dataset(points), params)
     np.testing.assert_allclose(report.scores, naive.scores, rtol=1e-9, atol=0)
     # Same ranking up to float ties: the oracle's scores, read in the
     # fast ranking's order, never fall by more than noise.
-    assert np.all(np.diff(naive.scores[report.ranking]) >= -1e-9 * params.s_n)
-    # Scaling data and n_d by one power of two changes no bit.
+    assert np.all(np.diff(naive.scores[report.ranking]) >= -1e-9 * naive.scores.max())
+    # Scaling data and n_d by one power of two changes no bit, while both
+    # stay exact: coordinates and distances need 2^16 of headroom.
     factor = 2.0**shift
-    scaled = score_all_fast(
-        Dataset(points * factor), Params(n_d=params.n_d * factor, s_n=params.s_n)
-    )
-    assert np.array_equal(scaled.scores, report.scores)
+    if abs(scale_exp) <= 300 and params.n_d * factor / factor == params.n_d:
+        scaled = score_all_fast(
+            Dataset(points * factor), Params(n_d=params.n_d * factor, s_n=params.s_n)
+        )
+        assert np.array_equal(scaled.scores, report.scores)
 
 
 class TestScoresFromDistances:
@@ -313,6 +354,30 @@ class TestBlockedPass:
         assert np.array_equal(dist, reference)
         assert np.array_equal(score_all_fast(Dataset(points), params).scores, reference_scores)
         assert queries == 2 * ([7] * (q // 7) + ([q % 7] if q % 7 else []))
+
+    @staticmethod
+    def tree_scene(name):
+        if name == "ball_and_shell":  # three blocks of rows
+            spec = SyntheticSpec(dim=4, normal_count=9_900, anomaly_count=100, seed=5)
+            return generate(spec).data.points
+        if name == "grid":  # 3,000 points on 4,096 cells: duplicates and ties
+            return grid_dataset(np.random.default_rng(32), 3_000, 3, step=1.0, span=8).points
+        # Points 2^-1 ... 2^-1000 apart on a line: each sliding-midpoint split
+        # peels off a point or two, so the tree is about 1,000 levels deep,
+        # and past 2^-538 the squared differences underflow to 0.
+        x = 2.0 ** -np.arange(1, 1001)
+        return np.column_stack([x, np.zeros_like(x)])
+
+    @pytest.mark.parametrize("name", ["ball_and_shell", "grid", "geometric"])
+    def test_tree_matches_unblocked_default_tree(self, name):
+        # The tree's shape decides which pairs a query visits, not how a
+        # pair's distance is computed, so the k smallest are the same bits.
+        points = self.tree_scene(name)
+        k = 20
+        index = NeighborIndex(points)
+        assert index.method == "tree"
+        reference = cKDTree(points).query(points, k + 1)[0][:, 1:]
+        assert np.array_equal(index.distances_all(k), reference)
 
     @pytest.mark.parametrize("q", [7, 29, 36])  # one block; 3-row blocks; 2-row blocks
     def test_brute_blocks_match_unblocked_distances(self, scans, q):
