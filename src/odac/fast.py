@@ -61,19 +61,21 @@ _SPARE = 8
 # Rows per kd-tree query block and per transform block. Each tree block
 # holds (k + 1) distances and indices per row, 16 B each: 2.6 MiB at
 # k = 40, held next to the (q, k) output. Measured with the sliding-
-# midpoint tree on 2 cores: medians of 3-9 interleaved `distances_all`
-# runs on normalised 6-D `datagen` scenes, and the tracemalloc peak of
-# one run. At q = 10^5, k = 40, blocks of 2^11 to 2^14 rows all took
-# 4.0-4.9 s, and no size was fastest at every leaf size (peaks 37.2,
-# 38.6, 41.4 and 46.9 MiB); at q = 1.5 * 10^4, k = 80, 0.60-0.74 s
-# (peaks 12.6, 15.2, 20.5 and 29.2 MiB). So memory decides.
+# midpoint tree on 2 cores: interleaved `distances_all` runs on
+# normalised 6-D `datagen` scenes, and the tracemalloc peak of one run.
+# At q = 10^5, k = 40, blocks of 2^11 to 2^14 rows took 4.0-5.1 s (medians
+# of 3-9 runs), and no size was fastest at every leaf size; at _LEAF, 15
+# more pairs gave a median of 4.33 s at both 2^12 and 2^13. Peaks were
+# 37.2, 38.6, 41.4 and 46.9 MiB. At q = 1.5 * 10^4, k = 80, every size
+# took 0.60-0.74 s, with peaks of 12.6, 15.2, 20.5 and 29.2 MiB. So
+# memory decides.
 _BLOCK = 1 << 12
-# Points per kd-tree leaf. Same runs at _BLOCK: medians 4.6, 4.4, 4.5,
-# 4.5 and 4.9 s at leaf sizes 16, 24, 32, 48 and 64 for q = 10^5, against
-# 7.0 s for scipy's default median-split tree (leaves of 16); 0.70, 0.65,
-# 0.64, 0.62 and 0.64 s for q = 1.5 * 10^4, against 0.80 s. Sizes 24 to
-# 48 are within the runs' spread (about 0.5 s at q = 10^5), and 32 sits
-# in the middle of that flat range.
+# Points per kd-tree leaf. Same runs at _BLOCK: medians of 9 runs of 4.7,
+# 4.4, 4.5, 4.6 and 5.0 s at leaf sizes 16, 24, 32, 48 and 64 for
+# q = 10^5, against 7.1 s for scipy's default median-split tree (leaves
+# of 16); 0.70, 0.65, 0.64, 0.62 and 0.64 s for q = 1.5 * 10^4, against
+# 0.80 s. Sizes 24 to 48 lie within the runs' spread (single runs vary by
+# about 0.5 s at q = 10^5), and 32 sits in the middle of that range.
 _LEAF = 32
 
 
