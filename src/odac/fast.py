@@ -21,13 +21,16 @@ Scoring splits into two steps:
     one side would be empty. On clustered data that prunes far more than a
     median split, and the distances are the same bits, since the shape
     only decides which pairs a query visits. The brute-force scan takes
-    blocks in input order, sized so a block of distances stays small. It
-    ranks a block against every point with one BLAS matrix product of
-    the expanded squared distance, recomputes the few best candidates
-    exactly, in cdist's order, and rescans by cdist any row whose ranking
-    rounding could have changed (the FAISS scheme, Johnson et al. 2017).
-    Each block's k + 1 nearest distances are written, minus column 0,
-    into one (q, k) array.
+    blocks in input order, sized so a block's estimates stay in a core's
+    cache. It ranks a block against every point with one BLAS matrix
+    product of the expanded squared distance, recomputes the few best
+    candidates exactly, in cdist's order, and rescans by cdist any row
+    whose ranking rounding could have changed (the FAISS scheme, Johnson
+    et al. 2017). The candidates are picked in two stages: each row's
+    estimates are cut into _GROUPS strided slices, the element-wise
+    minimum of the slices ranks the groups, and only the estimates of
+    the best groups are partitioned. Each block's k + 1 nearest
+    distances are written, minus column 0, into one (q, k) array.
   * `scores_from_distances(dist, params)` applies the transform to the
     first s_n columns and sums them, one block of rows at a time, so
     only a block of similarities is ever held.
@@ -51,10 +54,19 @@ from .types import Dataset, Params, ScoreReport, validate_dataset
 # blocked brute-force scan is both simpler and faster.
 _TREE_MAX_DIM = 20
 # Cells per brute-force block. A block holds its (rows, q) float64
-# squared-distance estimates and the int64 indices `np.argpartition`
-# returns for them: 32 MiB together, so the scan's memory stays flat as
-# q grows.
-_BRUTE_CELLS = 1 << 21
+# squared-distance estimates, 4 MiB, so the scan's memory stays flat as q
+# grows and the selection reads them mostly from a core's L2 (2 MiB on
+# the 2-core machine measured). On the 32-D, 10^4-point `score_highdim`
+# scene, k = 40, with one `np.argpartition` per row, a pass took 1.17-1.20 s
+# at 2^21 cells, 0.93-0.94 s at 2^19 and 0.96-1.01 s at 2^18. With the
+# group pre-selection (8 interleaved in-process runs on two scenes) it
+# took medians of 0.78-0.84, 0.71-0.73, 0.67-0.71 and 0.79-0.85 s at 2^18,
+# 2^19, 2^20 and 2^21. 2^20's medians were 3-6% lower, inside the runs'
+# spread, for twice the memory.
+_BRUTE_CELLS = 1 << 19
+# Strided column groups per row in the brute scan's pre-selection. In the
+# same runs at 2^19 cells, 4 and 16 groups took 0.78-0.81 s.
+_GROUPS = 8
 # Candidates per row beyond the m nearest the brute scan must report, so a
 # row's cut usually clears its m-th distance by more than rounding error.
 _SPARE = 8
@@ -114,9 +126,15 @@ class NeighborIndex:
         self._tree = None
         # The brute scan ranks candidates on points centred on their mean:
         # the expanded squared distance then rounds relative to the spread
-        # of the data, not to its offset from the origin.
-        self._centred = self._points - self._points.mean(axis=0)
-        self._norms = np.einsum("ij,ij->i", self._centred, self._centred)
+        # of the data, not to its offset from the origin. The columns are
+        # padded to a multiple of _GROUPS with zero rows of infinite norm,
+        # whose estimates are inf and so never become candidates.
+        q = len(points)
+        padded = q + -q % _GROUPS
+        self._centred = np.zeros((padded, points.shape[1]))
+        np.subtract(self._points, self._points.mean(axis=0), out=self._centred[:q])
+        self._norms = np.full(padded, np.inf)
+        np.einsum("ij,ij->i", self._centred[:q], self._centred[:q], out=self._norms[:q])
 
     @property
     def method(self) -> str:
@@ -157,10 +175,11 @@ class NeighborIndex:
 
         One matrix product ranks every point for the block by the expanded
         squared distance |a|^2 + |b|^2 - 2ab (less the row constant |a|^2),
-        and the m + _SPARE smallest become candidates. Their distances are
-        then computed exactly, as cdist computes them, and a row whose cut
-        is too close to its m-th distance to trust the ranking is scanned
-        again by `_nearest_exact`. So the result is cdist's, bit for bit.
+        and the m + _SPARE smallest become candidates (`_smallest`). Their
+        distances are then computed exactly, as cdist computes them, and a
+        row whose cut is too close to its m-th distance to trust the
+        ranking is scanned again by `_nearest_exact`. So the result is
+        cdist's, bit for bit.
         """
         q, n = self._points.shape
         width = min(m + _SPARE, q)
@@ -168,7 +187,7 @@ class NeighborIndex:
         lead *= -2.0  # exact; cheaper than scaling the (rows, q) product
         approx = lead @ self._centred.T
         approx += self._norms
-        cand = np.argpartition(approx, width - 1, axis=1)[:, :width]
+        cand = _smallest(approx, width)
         cut = approx[np.arange(len(block)), cand[:, -1]]  # the width-th smallest
         del approx
         rows = self._points[block]
@@ -181,7 +200,8 @@ class NeighborIndex:
         # coordinate once), so all of it stays below 16 (n + 2) eps times
         # that sum, or below the smallest normal double when it underflows.
         # A row whose margin is smaller is scanned again.
-        slack = 16 * (n + 2) * np.finfo(float).eps * (self._norms[block] + self._norms.max())
+        reach = self._norms[:q].max()  # the padding's inf norms left out
+        slack = 16 * (n + 2) * np.finfo(float).eps * (self._norms[block] + reach)
         close = cut + self._norms[block] - sq[:, m - 1] <= slack + np.finfo(float).tiny
         nearest = sq[:, :m]
         np.sqrt(nearest, out=nearest)
@@ -189,6 +209,35 @@ class NeighborIndex:
         if width < q and close.any():
             nearest[close] = _nearest_exact(rows[close], self._points, m)
         return nearest
+
+
+def _smallest(approx: np.ndarray, width: int) -> np.ndarray:
+    """Column indices of the `width` smallest entries of each row, the width-th last.
+
+    The columns, a multiple of _GROUPS, are cut into G strided slices of
+    g columns, so group i holds columns i, i + g, ..., i + (G - 1) g.
+    The element-wise minimum of the slices is each group's minimum; the
+    `width` groups with the smallest minima are kept, and the width
+    smallest of the width * G entries they hold are returned. G is the
+    largest of _GROUPS, _GROUPS / 2, ..., 1 that leaves g >= width.
+
+    This is exact. Let cut be the width-th smallest kept entry and tau the
+    width-th smallest group minimum. A kept entry not returned is >= cut.
+    An entry of a dropped group is >= its group's minimum, which is >= tau.
+    The kept groups' minima are `width` distinct kept entries, all <= tau,
+    so cut <= tau. So every entry not returned is >= cut, and cut is the
+    same value a partition of the whole row would give.
+    """
+    rows, cols = approx.shape
+    groups = _GROUPS
+    while groups > 1 and cols // groups < width:
+        groups //= 2
+    g = cols // groups
+    minima = approx.reshape(rows, groups, g).min(axis=1)
+    best = np.argpartition(minima, width - 1, axis=1)[:, :width]
+    pool = (best[:, None, :] + g * np.arange(groups)[:, None]).reshape(rows, -1)
+    pick = np.argpartition(np.take_along_axis(approx, pool, axis=1), width - 1, axis=1)
+    return np.take_along_axis(pool, pick[:, :width], axis=1)
 
 
 def _squared_distances(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:

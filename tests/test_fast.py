@@ -285,6 +285,62 @@ class TestScoresFromDistances:
         assert np.array_equal(dist, before)
 
 
+def estimate_rows(kind, q, rows=5, seed=0):
+    """(rows, q) stand-ins for the brute scan's squared-distance estimates."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.standard_normal((rows, q))
+    if kind == "duplicates":  # four values: ties everywhere, at the cut too
+        return rng.integers(0, 4, size=(rows, q)).astype(float)
+    # Squared distances on an integer grid: small sums of squares, many ties.
+    return (rng.integers(-3, 4, size=(rows, q, 3)) ** 2).sum(axis=2).astype(float)
+
+
+class TestSmallest:
+    """`_smallest` picks the same values as one `np.argpartition` of the row."""
+
+    @staticmethod
+    def check(estimates, width):
+        # Pad the columns as NeighborIndex pads its points: inf estimates.
+        rows, q = estimates.shape
+        approx = np.hstack([estimates, np.full((rows, -q % fast._GROUPS), np.inf)])
+        cand = fast._smallest(approx, width)
+        reference = np.partition(estimates, width - 1, axis=1)[:, :width]
+        chosen = np.take_along_axis(approx, cand, axis=1)
+        assert cand.shape == (rows, width)
+        assert (cand < q).all()  # the padding is never a candidate
+        assert all(len(set(row)) == width for row in cand.tolist())
+        assert np.array_equal(np.sort(chosen, axis=1), np.sort(reference, axis=1))
+        assert np.array_equal(chosen[:, -1], reference.max(axis=1))  # the cut is last
+
+    # q not a multiple of 8; q just below, at and above 8 width = 112, where
+    # 8 groups first fit (q = 104 takes 4 groups, 105 pads to 112); and
+    # small rows of 1 and 2 groups.
+    @pytest.mark.parametrize("q", [14, 29, 61, 104, 105, 111, 112, 113, 1001])
+    @pytest.mark.parametrize("kind", ["random", "duplicates", "grid"])
+    def test_matches_argpartition(self, kind, q):
+        self.check(estimate_rows(kind, q, seed=q), min(14, q))
+
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    def test_all_smallest_in_one_stride_class(self, width):
+        # Columns 5, 5 + g, ..., 5 + 7g hold the 8 smallest estimates: one
+        # group, whose minimum alone would stand for all of them.
+        q = 1000
+        g = q // fast._GROUPS
+        row = np.random.default_rng(width).uniform(10.0, 20.0, size=(1, q))
+        row[0, 5::g] = np.arange(fast._GROUPS)[::-1]
+        self.check(row, width)
+
+    @pytest.mark.parametrize("width", [3, 14])
+    def test_smallest_in_distinct_groups(self, width):
+        # The width smallest estimates sit in width different groups, so
+        # each kept group holds one of them.
+        q = 1000
+        row = np.random.default_rng(width).uniform(10.0, 20.0, size=(1, q))
+        row[0, :width] = np.arange(width)[::-1]
+        self.check(row, width)
+
+
 class TestBlockedPass:
     """The k-NN pass and the transform at block sizes a test can reach."""
 
@@ -379,15 +435,37 @@ class TestBlockedPass:
         reference = cKDTree(points).query(points, k + 1)[0][:, 1:]
         assert np.array_equal(index.distances_all(k), reference)
 
-    @pytest.mark.parametrize("q", [7, 29, 36])  # one block; 3-row blocks; 2-row blocks
-    def test_brute_blocks_match_unblocked_distances(self, scans, q):
-        points = self.points_with_twin(q)
-        k = min(5, q - 1)
-        reference = self.sorted_cdist(points, k)
+    @staticmethod
+    def points_in_two_classes(q, k):
+        """Random points, but for a cluster in two stride classes of the candidate groups.
 
-        assert np.array_equal(NeighborIndex(points).distances_all(k), reference)
-        assert sum(scans) == q
-        assert max(scans) <= fast._BRUTE_CELLS // q
+        Point 0 and, for the group count `_smallest` uses at this q and k,
+        every column 1 + j g and 2 + j g form a tight cluster far from the
+        rest. So each of their rows has its m + _SPARE smallest estimates
+        in as few groups as the group count allows.
+        """
+        width = min(k + 1 + fast._SPARE, q)
+        cols = q + -q % fast._GROUPS
+        groups = fast._GROUPS
+        while groups > 1 and cols // groups < width:
+            groups //= 2
+        g = cols // groups
+        rng = np.random.default_rng(q)
+        points = rng.uniform(100.0, 200.0, size=(q, 3))
+        cluster = [0] + [c + j * g for c in (1, 2) for j in range(groups) if c + j * g < q]
+        points[cluster] = rng.uniform(0.0, 1.0, size=(len(cluster), 3))
+        return points
+
+    # One block; 3-row blocks; 2-row blocks; then q just below, at and
+    # above 8 (m + _SPARE) = 112, where 8 groups first fit, in 1-row blocks.
+    @pytest.mark.parametrize("q", [7, 29, 36, 104, 105, 111, 112, 113])
+    def test_brute_blocks_match_unblocked_distances(self, scans, q):
+        k = min(5, q - 1)
+        for points in (self.points_with_twin(q), self.points_in_two_classes(q, k)):
+            reference = self.sorted_cdist(points, k)
+            assert np.array_equal(NeighborIndex(points).distances_all(k), reference)
+        assert sum(scans) == 2 * q
+        assert max(scans) == min(q, max(1, fast._BRUTE_CELLS // q))
 
     def test_ties_at_the_cut_are_rescanned(self, rescans):
         # The origin and the 24 unit vectors of 24-D: the origin has all

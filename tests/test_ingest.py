@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -178,6 +179,31 @@ def test_write_scores_leaves_byte_stream_open():
     write_scores(report, sink)
     assert not sink.closed
     assert sink.getvalue() == b"index,score,rank\n1,0.25,1\n0,0.5,2\n"
+
+
+@pytest.mark.parametrize("sink", ["path", "text"])
+def test_write_scores_matches_csv_writer(tmp_path, sink):
+    # Tied scores, ranked by index, and magnitudes that `.12g` writes in
+    # exponent form.
+    scores = np.random.default_rng(34).uniform(0.0, 5.0, 200)
+    scores[::7] = 1.25
+    scores[:3] = [3e-20, 2.5e17, 3e-20]
+    report = ScoreReport(scores)
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(["index", "score", "rank"])
+    writer.writerows(
+        [int(point), format(report.scores[point], ".12g"), rank]
+        for rank, point in enumerate(report.ranking, start=1)
+    )
+    if sink == "path":
+        write_scores(report, tmp_path / "scores.csv")
+        written = (tmp_path / "scores.csv").read_bytes()
+    else:
+        stream = io.StringIO()
+        write_scores(report, stream)
+        written = stream.getvalue().encode()
+    assert written == reference.getvalue().encode()
 
 
 def test_write_csv_leaves_byte_stream_open():
