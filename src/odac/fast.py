@@ -27,9 +27,10 @@ Scoring splits into two steps:
     candidates exactly, in cdist's order, and rescans by cdist any row
     whose ranking rounding could have changed (the FAISS scheme, Johnson
     et al. 2017). The candidates are picked in two stages: each row's
-    estimates are cut into _GROUPS strided slices, the element-wise
-    minimum of the slices ranks the groups, and only the estimates of
-    the best groups are partitioned. Each block's k + 1 nearest
+    estimates are cut into _SLICES equal slices, their element-wise
+    minimum is the minimum of each group of strided columns (one per
+    slice), and only the estimates of the groups with the smallest
+    minima are partitioned. Each block's k + 1 nearest
     distances are written, minus column 0, into one (q, k) array.
   * `scores_from_distances(dist, params)` applies the transform to the
     first s_n columns and sums them, one block of rows at a time, so
@@ -64,9 +65,10 @@ _TREE_MAX_DIM = 20
 # 2^19, 2^20 and 2^21. 2^20's medians were 3-6% lower, inside the runs'
 # spread, for twice the memory.
 _BRUTE_CELLS = 1 << 19
-# Strided column groups per row in the brute scan's pre-selection. In the
-# same runs at 2^19 cells, 4 and 16 groups took 0.78-0.81 s.
-_GROUPS = 8
+# Slices per row in the brute scan's pre-selection, so each group of
+# strided columns holds this many estimates. In the same runs at 2^19
+# cells, 4 and 16 slices took 0.78-0.81 s.
+_SLICES = 8
 # Candidates per row beyond the m nearest the brute scan must report, so a
 # row's cut usually clears its m-th distance by more than rounding error.
 _SPARE = 8
@@ -127,10 +129,10 @@ class NeighborIndex:
         # The brute scan ranks candidates on points centred on their mean:
         # the expanded squared distance then rounds relative to the spread
         # of the data, not to its offset from the origin. The columns are
-        # padded to a multiple of _GROUPS with zero rows of infinite norm,
+        # padded to a multiple of _SLICES with zero rows of infinite norm,
         # whose estimates are inf and so never become candidates.
         q = len(points)
-        padded = q + -q % _GROUPS
+        padded = q + -q % _SLICES
         self._centred = np.zeros((padded, points.shape[1]))
         np.subtract(self._points, self._points.mean(axis=0), out=self._centred[:q])
         self._norms = np.full(padded, np.inf)
@@ -214,12 +216,13 @@ class NeighborIndex:
 def _smallest(approx: np.ndarray, width: int) -> np.ndarray:
     """Column indices of the `width` smallest entries of each row, the width-th last.
 
-    The columns, a multiple of _GROUPS, are cut into G strided slices of
-    g columns, so group i holds columns i, i + g, ..., i + (G - 1) g.
-    The element-wise minimum of the slices is each group's minimum; the
-    `width` groups with the smallest minima are kept, and the width
-    smallest of the width * G entries they hold are returned. G is the
-    largest of _GROUPS, _GROUPS / 2, ..., 1 that leaves g >= width.
+    The columns, a multiple of _SLICES, are cut into S slices of g
+    columns, and group i holds columns i, i + g, ..., i + (S - 1) g, one
+    from each slice. The element-wise minimum of the slices is each
+    group's minimum; the `width` groups with the smallest minima are
+    kept, and the width smallest of the width * S entries they hold are
+    returned. S is the largest of _SLICES, _SLICES / 2, ..., 1 that
+    leaves g >= width groups to choose from.
 
     This is exact. Let cut be the width-th smallest kept entry and tau the
     width-th smallest group minimum. A kept entry not returned is >= cut.
@@ -229,13 +232,13 @@ def _smallest(approx: np.ndarray, width: int) -> np.ndarray:
     same value a partition of the whole row would give.
     """
     rows, cols = approx.shape
-    groups = _GROUPS
-    while groups > 1 and cols // groups < width:
-        groups //= 2
-    g = cols // groups
-    minima = approx.reshape(rows, groups, g).min(axis=1)
+    slices = _SLICES
+    while slices > 1 and cols // slices < width:
+        slices //= 2
+    g = cols // slices
+    minima = approx.reshape(rows, slices, g).min(axis=1)
     best = np.argpartition(minima, width - 1, axis=1)[:, :width]
-    pool = (best[:, None, :] + g * np.arange(groups)[:, None]).reshape(rows, -1)
+    pool = (best[:, None, :] + g * np.arange(slices)[:, None]).reshape(rows, -1)
     pick = np.argpartition(np.take_along_axis(approx, pool, axis=1), width - 1, axis=1)
     return np.take_along_axis(pool, pick[:, :width], axis=1)
 

@@ -303,7 +303,7 @@ class TestSmallest:
     def check(estimates, width):
         # Pad the columns as NeighborIndex pads its points: inf estimates.
         rows, q = estimates.shape
-        approx = np.hstack([estimates, np.full((rows, -q % fast._GROUPS), np.inf)])
+        approx = np.hstack([estimates, np.full((rows, -q % fast._SLICES), np.inf)])
         cand = fast._smallest(approx, width)
         reference = np.partition(estimates, width - 1, axis=1)[:, :width]
         chosen = np.take_along_axis(approx, cand, axis=1)
@@ -314,8 +314,8 @@ class TestSmallest:
         assert np.array_equal(chosen[:, -1], reference.max(axis=1))  # the cut is last
 
     # q not a multiple of 8; q just below, at and above 8 width = 112, where
-    # 8 groups first fit (q = 104 takes 4 groups, 105 pads to 112); and
-    # small rows of 1 and 2 groups.
+    # 8 slices first fit (q = 104 takes 4 slices, 105 pads to 112); and
+    # small rows of 1 and 2 slices.
     @pytest.mark.parametrize("q", [14, 29, 61, 104, 105, 111, 112, 113, 1001])
     @pytest.mark.parametrize("kind", ["random", "duplicates", "grid"])
     def test_matches_argpartition(self, kind, q):
@@ -326,9 +326,9 @@ class TestSmallest:
         # Columns 5, 5 + g, ..., 5 + 7g hold the 8 smallest estimates: one
         # group, whose minimum alone would stand for all of them.
         q = 1000
-        g = q // fast._GROUPS
+        g = q // fast._SLICES
         row = np.random.default_rng(width).uniform(10.0, 20.0, size=(1, q))
-        row[0, 5::g] = np.arange(fast._GROUPS)[::-1]
+        row[0, 5::g] = np.arange(fast._SLICES)[::-1]
         self.check(row, width)
 
     @pytest.mark.parametrize("width", [3, 14])
@@ -437,27 +437,27 @@ class TestBlockedPass:
 
     @staticmethod
     def points_in_two_classes(q, k):
-        """Random points, but for a cluster in two stride classes of the candidate groups.
+        """Random points, but for a cluster in two groups of the candidate pre-selection.
 
-        Point 0 and, for the group count `_smallest` uses at this q and k,
-        every column 1 + j g and 2 + j g form a tight cluster far from the
-        rest. So each of their rows has its m + _SPARE smallest estimates
-        in as few groups as the group count allows.
+        Point 0 and, for the slice length g `_smallest` uses at this q and
+        k, every column 1 + j g and 2 + j g form a tight cluster far from
+        the rest. So each of their rows has its m + _SPARE smallest
+        estimates in as few groups as the group size allows.
         """
         width = min(k + 1 + fast._SPARE, q)
-        cols = q + -q % fast._GROUPS
-        groups = fast._GROUPS
-        while groups > 1 and cols // groups < width:
-            groups //= 2
-        g = cols // groups
+        cols = q + -q % fast._SLICES
+        slices = fast._SLICES
+        while slices > 1 and cols // slices < width:
+            slices //= 2
+        g = cols // slices
         rng = np.random.default_rng(q)
         points = rng.uniform(100.0, 200.0, size=(q, 3))
-        cluster = [0] + [c + j * g for c in (1, 2) for j in range(groups) if c + j * g < q]
+        cluster = [0] + [c + j * g for c in (1, 2) for j in range(slices) if c + j * g < q]
         points[cluster] = rng.uniform(0.0, 1.0, size=(len(cluster), 3))
         return points
 
     # One block; 3-row blocks; 2-row blocks; then q just below, at and
-    # above 8 (m + _SPARE) = 112, where 8 groups first fit, in 1-row blocks.
+    # above 8 (m + _SPARE) = 112, where 8 slices first fit, in 1-row blocks.
     @pytest.mark.parametrize("q", [7, 29, 36, 104, 105, 111, 112, 113])
     def test_brute_blocks_match_unblocked_distances(self, scans, q):
         k = min(5, q - 1)
