@@ -55,7 +55,7 @@ class EvalReport:
         _write_rows(
             sink,
             ["trials", "successes", "accuracy"],
-            [[self.trial_count, self.success_count, f"{self.accuracy:.6f}"]],
+            [[str(self.trial_count), str(self.success_count), f"{self.accuracy:.6f}"]],
         )
 
 
@@ -104,9 +104,9 @@ class PercentileReport:
             ],
             [
                 [
-                    b, bucket.rank_start, bucket.rank_end, bucket.point_count,
-                    bucket.outlier_count, bucket.cumulative_outliers,
-                    f"{bucket.cumulative_fraction:.6f}",
+                    str(b), str(bucket.rank_start), str(bucket.rank_end),
+                    str(bucket.point_count), str(bucket.outlier_count),
+                    str(bucket.cumulative_outliers), f"{bucket.cumulative_fraction:.6f}",
                 ]
                 for b, bucket in enumerate(self.buckets)
             ],
@@ -129,7 +129,7 @@ class SweepReport:
         _write_rows(
             sink,
             [self.parameter, "worst_outlier_rank"],
-            [[value, rank] for value, rank in self.curve],
+            [[str(value), str(rank)] for value, rank in self.curve],
         )
 
 

@@ -130,13 +130,15 @@ class NeighborIndex:
         # the expanded squared distance then rounds relative to the spread
         # of the data, not to its offset from the origin. The columns are
         # padded to a multiple of _SLICES with zero rows of infinite norm,
-        # whose estimates are inf and so never become candidates.
+        # whose estimates are inf and so never become candidates. _reach,
+        # the largest squared norm of a real point, bounds the rounding.
         q = len(points)
         padded = q + -q % _SLICES
         self._centred = np.zeros((padded, points.shape[1]))
         np.subtract(self._points, self._points.mean(axis=0), out=self._centred[:q])
         self._norms = np.full(padded, np.inf)
         np.einsum("ij,ij->i", self._centred[:q], self._centred[:q], out=self._norms[:q])
+        self._reach = self._norms[:q].max()
 
     @property
     def method(self) -> str:
@@ -202,8 +204,7 @@ class NeighborIndex:
         # coordinate once), so all of it stays below 16 (n + 2) eps times
         # that sum, or below the smallest normal double when it underflows.
         # A row whose margin is smaller is scanned again.
-        reach = self._norms[:q].max()  # the padding's inf norms left out
-        slack = 16 * (n + 2) * np.finfo(float).eps * (self._norms[block] + reach)
+        slack = 16 * (n + 2) * np.finfo(float).eps * (self._norms[block] + self._reach)
         close = cut + self._norms[block] - sq[:, m - 1] <= slack + np.finfo(float).tiny
         nearest = sq[:, :m]
         np.sqrt(nearest, out=nearest)
@@ -221,8 +222,7 @@ def _smallest(approx: np.ndarray, width: int) -> np.ndarray:
     from each slice. The element-wise minimum of the slices is each
     group's minimum; the `width` groups with the smallest minima are
     kept, and the width smallest of the width * S entries they hold are
-    returned. S is the largest of _SLICES, _SLICES / 2, ..., 1 that
-    leaves g >= width groups to choose from.
+    returned. S is `_slice_count(cols, width)`.
 
     This is exact. Let cut be the width-th smallest kept entry and tau the
     width-th smallest group minimum. A kept entry not returned is >= cut.
@@ -232,15 +232,25 @@ def _smallest(approx: np.ndarray, width: int) -> np.ndarray:
     same value a partition of the whole row would give.
     """
     rows, cols = approx.shape
-    slices = _SLICES
-    while slices > 1 and cols // slices < width:
-        slices //= 2
+    slices = _slice_count(cols, width)
     g = cols // slices
     minima = approx.reshape(rows, slices, g).min(axis=1)
     best = np.argpartition(minima, width - 1, axis=1)[:, :width]
     pool = (best[:, None, :] + g * np.arange(slices)[:, None]).reshape(rows, -1)
     pick = np.argpartition(np.take_along_axis(approx, pool, axis=1), width - 1, axis=1)
     return np.take_along_axis(pool, pick[:, :width], axis=1)
+
+
+def _slice_count(cols: int, width: int) -> int:
+    """Slices `_smallest` cuts a row of `cols` columns into, cols a multiple of _SLICES.
+
+    The largest of _SLICES, _SLICES / 2, ..., 1 that leaves g = cols / S
+    >= width groups to choose the width smallest from.
+    """
+    slices = _SLICES
+    while slices > 1 and cols // slices < width:
+        slices //= 2
+    return slices
 
 
 def _squared_distances(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:

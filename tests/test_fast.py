@@ -446,9 +446,7 @@ class TestBlockedPass:
         """
         width = min(k + 1 + fast._SPARE, q)
         cols = q + -q % fast._SLICES
-        slices = fast._SLICES
-        while slices > 1 and cols // slices < width:
-            slices //= 2
+        slices = fast._slice_count(cols, width)
         g = cols // slices
         rng = np.random.default_rng(q)
         points = rng.uniform(100.0, 200.0, size=(q, 3))

@@ -206,6 +206,28 @@ def test_write_scores_matches_csv_writer(tmp_path, sink):
     assert written == reference.getvalue().encode()
 
 
+@pytest.mark.parametrize("sink", ["path", "text"])
+def test_write_csv_matches_csv_writer(tmp_path, sink):
+    # A labeled dataset with negative zero, integers and magnitudes that
+    # repr writes in exponent form.
+    points = np.random.default_rng(35).standard_normal((60, 4))
+    points[:4, 0] = [-0.0, 3.0, 1e-300, -2.5e17]
+    flags = np.arange(60) % 9 == 0
+    data = LabeledDataset(Dataset(points), flags)
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(["x1", "x2", "x3", "x4", "label"])
+    writer.writerows([*map(repr, map(float, p)), int(f)] for p, f in zip(points, flags))
+    if sink == "path":
+        write_csv(data, tmp_path / "data.csv")
+        written = (tmp_path / "data.csv").read_bytes()
+    else:
+        stream = io.StringIO()
+        write_csv(data, stream)
+        written = stream.getvalue().encode()
+    assert written == reference.getvalue().encode()
+
+
 def test_write_csv_leaves_byte_stream_open():
     data = Dataset(np.array([[1.0, 2.5], [3.0, 4.0], [-5.0, 6.0]]))
     sink = io.BytesIO()
