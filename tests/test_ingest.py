@@ -181,10 +181,13 @@ def test_write_scores_leaves_byte_stream_open():
     assert sink.getvalue() == b"index,score,rank\n1,0.25,1\n0,0.5,2\n"
 
 
+# 201 lines are written in chunks of 7 (the last one short) or in one.
+@pytest.mark.parametrize("chunk", [7, 201])
 @pytest.mark.parametrize("sink", ["path", "text"])
-def test_write_scores_matches_csv_writer(tmp_path, sink):
+def test_write_scores_matches_csv_writer(tmp_path, monkeypatch, sink, chunk):
     # Tied scores, ranked by index, and magnitudes that `.12g` writes in
     # exponent form.
+    monkeypatch.setattr(ingest, "_WRITE_LINES", chunk)
     scores = np.random.default_rng(34).uniform(0.0, 5.0, 200)
     scores[::7] = 1.25
     scores[:3] = [3e-20, 2.5e17, 3e-20]
@@ -206,10 +209,14 @@ def test_write_scores_matches_csv_writer(tmp_path, sink):
     assert written == reference.getvalue().encode()
 
 
+# 61 lines are written in chunks of 7 (the last one short), in one
+# chunk that fills the limit, or in one short chunk.
+@pytest.mark.parametrize("chunk", [7, 61, 4096])
 @pytest.mark.parametrize("sink", ["path", "text"])
-def test_write_csv_matches_csv_writer(tmp_path, sink):
+def test_write_csv_matches_csv_writer(tmp_path, monkeypatch, sink, chunk):
     # A labeled dataset with negative zero, integers and magnitudes that
     # repr writes in exponent form.
+    monkeypatch.setattr(ingest, "_WRITE_LINES", chunk)
     points = np.random.default_rng(35).standard_normal((60, 4))
     points[:4, 0] = [-0.0, 3.0, 1e-300, -2.5e17]
     flags = np.arange(60) % 9 == 0
