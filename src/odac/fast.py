@@ -30,19 +30,26 @@ Scoring splits into two steps:
     estimates are cut into _SLICES equal slices, their element-wise
     minimum is the minimum of each group of strided columns (one per
     slice), and only the estimates of the groups with the smallest
-    minima are partitioned. Each block's k + 1 nearest
-    distances are written, minus column 0, into one (q, k) array.
-  * `scores_from_distances(dist, params)` applies the transform to the
-    first s_n columns and sums them, one block of rows at a time, so
-    only a block of similarities is ever held.
+    minima are partitioned. Each block's k + 1 nearest distances, minus
+    column 0, go into one (q, k) array, or, given a per-row reduction,
+    are reduced to one value per row before the next block is queried.
+  * `scores_from_distances(dist, params)` scores a held (q, k) array one
+    block of rows at a time with `_row_scores`: the transform of the
+    first s_n columns, summed, so only a block of similarities is ever
+    held.
 
 So one pass at the largest s_n serves every parameter setting, which is
-how `evaluate.sweep` tunes n_d and s_n. The reduction is asserted against
-the literal scorer by the test suite; `odac.naive` remains the
+how `evaluate.sweep` tunes n_d and s_n. `score_all_fast` needs one
+setting, so its pass hands each block straight to `_row_scores` and keeps
+only the scores: the (q, s_n) distances are never held, and the scores
+are the same bits as the two steps give. The reduction is asserted
+against the literal scorer by the test suite; `odac.naive` remains the
 independent oracle.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -74,9 +81,10 @@ _SLICES = 8
 _SPARE = 8
 # Rows per kd-tree query block and per transform block. Each tree block
 # holds (k + 1) distances and indices per row, 16 B each: 2.6 MiB at
-# k = 40, held next to the (q, k) output. Measured with the sliding-
-# midpoint tree on 2 cores: interleaved `distances_all` runs on
-# normalised 6-D `datagen` scenes, and the tracemalloc peak of one run.
+# k = 40, held next to the (q, k) output (a scoring pass holds only (q,)
+# scores). Measured with the sliding-midpoint tree on 2 cores: interleaved
+# `distances_all` runs on normalised 6-D `datagen` scenes, and the
+# tracemalloc peak of one run.
 # At q = 10^5, k = 40, blocks of 2^11 to 2^14 rows took 4.0-5.1 s (medians
 # of 3-9 runs), and no size was fastest at every leaf size; at _LEAF, 15
 # more pairs gave a median of 4.33 s at both 2^12 and 2^13. Peaks were
@@ -144,13 +152,20 @@ class NeighborIndex:
     def method(self) -> str:
         return "brute" if self._tree is None else "tree"
 
-    def distances_all(self, k: int) -> np.ndarray:
+    def distances_all(
+        self, k: int, reduce: Callable[[np.ndarray], np.ndarray] | None = None
+    ) -> np.ndarray:
         """Ascending distances to the k nearest neighbors of every point.
 
         Returns a (q, k) array; a point is never its own neighbor, but a
         duplicate twin is, at distance 0. Only distances are reported:
         tied boundary neighbors are interchangeable for any
         distance-based score, so no index tie-break is needed.
+
+        With `reduce`, each block's (rows, k) distances are passed to it
+        instead, and the one value per row it returns is stored: the
+        result is a (q,) array, and at most one block of distances is
+        held at a time.
         """
         q = self._points.shape[0]
         if not 1 <= k <= q - 1:
@@ -159,16 +174,19 @@ class NeighborIndex:
             order, rows, nearest = np.arange(q), max(1, _BRUTE_CELLS // q), self._scan
         else:
             order, rows, nearest = self._tree.indices, _BLOCK, self._query
-        out = np.empty((q, k))
+        out = np.empty((q, k) if reduce is None else q)
         for start in range(0, q, rows):
             block = order[start : start + rows]
             # Each point is at distance 0 from itself, so column 0 is
             # always a zero; dropping it leaves the k true neighbor
             # distances (a duplicate twin, or a point whose differences
-            # underflow, may stand in for self at the same 0). The block's
-            # arrays are dropped before the next block allocates its own.
-            out[block] = nearest(block, k + 1)[:, 1:]
-        return np.ldexp(out, self._exp, out=out)
+            # underflow, may stand in for self at the same 0).
+            dist = nearest(block, k + 1)[:, 1:]
+            np.ldexp(dist, self._exp, out=dist)
+            out[block] = dist if reduce is None else reduce(dist)
+            # Dropped before the next block allocates its own arrays.
+            del dist
+        return out
 
     def _query(self, block: np.ndarray, m: int) -> np.ndarray:
         """Ascending distances from each block point to its m nearest points, by kd-tree."""
@@ -305,23 +323,34 @@ def scores_from_distances(dist: np.ndarray, params: Params) -> ScoreReport:
         raise InvalidTopR(
             f"s_n = {params.s_n} but only {dist.shape[1]} neighbor distances per point"
         )
-    # The similarity falls as the distance grows, so the smallest one any
-    # point sums sits at the largest distance of column s_n - 1.
-    farthest = dist[:, params.s_n - 1].max()
-    if similarity_from_distance(farthest, params.n_d) < np.finfo(float).tiny:
-        raise SimilarityUnderflow(params.n_d)
     scores = np.empty(dist.shape[0])
     for start in range(0, dist.shape[0], _BLOCK):
-        block = slice(start, start + _BLOCK)
-        sims = similarity_from_distance(dist[block, : params.s_n], params.n_d)
-        # Rows are descending (distances ascending); reverse so the sum
-        # accumulates ascending values like the reference scorer.
-        scores[block] = sims[:, ::-1].sum(axis=1)
+        scores[start : start + _BLOCK] = _row_scores(dist[start : start + _BLOCK], params)
     return ScoreReport(scores)
+
+
+def _row_scores(dist: np.ndarray, params: Params) -> np.ndarray:
+    """Scores of a block of rows of ascending distances, from their first s_n columns.
+
+    Raises:
+        SimilarityUnderflow: a summed similarity is below the smallest
+            normal double.
+    """
+    sims = similarity_from_distance(dist[:, : params.s_n], params.n_d)
+    # The similarity falls as the distance grows, so the smallest one a
+    # row sums sits in column s_n - 1.
+    if sims[:, -1].min() < np.finfo(float).tiny:
+        raise SimilarityUnderflow(params.n_d)
+    # Rows are descending (distances ascending); reverse so the sum
+    # accumulates ascending values like the reference scorer.
+    return sims[:, ::-1].sum(axis=1)
 
 
 def score_all_fast(data: Dataset, params: Params) -> ScoreReport:
     """Score every point via k-NN distances; same contract as the naive path.
+
+    The scores of each block of the k-NN pass are computed as soon as the
+    block's distances are, so the (q, s_n) distances are never held.
 
     Args:
         data: Validated dataset (q > 2, n >= 2, finite).
@@ -331,4 +360,6 @@ def score_all_fast(data: Dataset, params: Params) -> ScoreReport:
         ScoreReport matching score_all_naive up to floating-point noise,
         with the identical ranking tie rule.
     """
-    return scores_from_distances(neighbor_distances(data, params.s_n), params)
+    validate_dataset(data)
+    index = NeighborIndex(data.points)
+    return ScoreReport(index.distances_all(params.s_n, lambda d: _row_scores(d, params)))

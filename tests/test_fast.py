@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -259,16 +261,19 @@ def test_extreme_coordinate_scales(scale_exp, nd_exp, dim, seed, twins, shift):
 
 class TestScoresFromDistances:
     def test_prefixes_match_score_all_fast(self):
+        # Both scorers score a block with `_row_scores`, so they agree bit
+        # for bit. q = 1,000 in 25-D takes the brute path.
         rng = np.random.default_rng(29)
-        data = random_dataset(rng, 90, 3)
-        dist = neighbor_distances(data, 30)
-        for s in (1, 2, 7, 30):
-            params = Params(n_d=6.0, s_n=s)
-            expected = score_all_fast(data, params)
-            for columns in (dist, dist[:, :s]):
-                got = scores_from_distances(columns, params)
-                np.testing.assert_allclose(got.scores, expected.scores, rtol=1e-12)
-                assert got.ranking.tolist() == expected.ranking.tolist()
+        for q, dim in ((90, 3), (1_000, 25)):
+            data = random_dataset(rng, q, dim)
+            dist = neighbor_distances(data, 30)
+            for s in (1, 2, 7, 30):
+                params = Params(n_d=6.0, s_n=s)
+                expected = score_all_fast(data, params)
+                for columns in (dist, dist[:, :s]):
+                    got = scores_from_distances(columns, params)
+                    assert np.array_equal(got.scores, expected.scores)
+                    assert got.ranking.tolist() == expected.ranking.tolist()
 
     def test_s_n_beyond_columns(self):
         rng = np.random.default_rng(30)
@@ -494,6 +499,42 @@ class TestBlockedPass:
         assert rescans == []
 
     @pytest.mark.parametrize("path", ["tree", "brute"])
+    def test_streamed_scores_match_two_step(self, monkeypatch, path):
+        # 7-row tree blocks or 3-row brute blocks: score_all_fast scores
+        # each block as the pass yields it, and must give the bits of
+        # scoring the whole (q, s_n) distance array afterwards.
+        monkeypatch.setattr(fast, "_BLOCK", 7)
+        monkeypatch.setattr(fast, "_BRUTE_CELLS", 300)
+        points = self.points_with_twin(100)
+        points[60:64] = points[7]  # four more copies of one point
+        data = Dataset(points)
+        assert index_on(path, points, monkeypatch).method == path
+        for s_n in (1, 6, 99):  # 99: every other point is a neighbor
+            params = Params(n_d=3.0, s_n=s_n)
+            two_step = scores_from_distances(neighbor_distances(data, s_n), params)
+            assert np.array_equal(score_all_fast(data, params).scores, two_step.scores)
+
+    @pytest.mark.parametrize("path", ["tree", "brute"])
+    def test_underflow_only_in_the_last_block(self, monkeypatch, path):
+        # 29 points in the unit square and, last, one 1e10 away. At
+        # n_d = 1e-300 only that point's similarities (about 1e-310) are
+        # subnormal, and it is taken in the last of five blocks.
+        points = np.vstack([np.random.default_rng(33).uniform(size=(29, 2)), [1e10, 0.0]])
+        monkeypatch.setattr(fast, "_BLOCK", 7)
+        monkeypatch.setattr(fast, "_BRUTE_CELLS", 7 * len(points))
+        index = index_on(path, points, monkeypatch)
+        order = np.arange(30) if path == "brute" else index._tree.indices
+        assert np.flatnonzero(order == 29)[0] >= 28  # blocks of 7: rows 28 and 29 last
+        params = Params(n_d=1e-300, s_n=2)
+        dist = index.distances_all(params.s_n)
+        sims = similarity_from_distance(dist[:, -1], params.n_d)
+        assert np.flatnonzero(sims < np.finfo(float).tiny).tolist() == [29]
+        with pytest.raises(SimilarityUnderflow):
+            score_all_fast(Dataset(points), params)
+        with pytest.raises(SimilarityUnderflow):
+            scores_from_distances(dist, params)
+
+    @pytest.mark.parametrize("path", ["tree", "brute"])
     def test_underflowing_difference_reads_as_a_twin(self, monkeypatch, path):
         # Points 0 and 1 differ by 1e-200, whose square underflows, so their
         # distance is 0 as for the duplicate twin 2. Two-row blocks split them.
@@ -508,3 +549,17 @@ class TestBlockedPass:
             [5.0, 5.0, 5.0],
             [3.0, 3.0, 3.0],
         ]
+
+
+def test_score_all_fast_never_holds_the_distance_array():
+    # The pass hands each block's distances to the transform, so the
+    # (q, s_n) float64 array, 30.5 MiB here, is never allocated.
+    q, s_n = 100_000, 40
+    data = Dataset(np.random.default_rng(34).uniform(size=(q, 2)))
+    tracemalloc.start()
+    try:
+        score_all_fast(data, Params(n_d=0.01, s_n=s_n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < q * s_n * 8 / 2
