@@ -523,12 +523,13 @@ class TestBlockedPass:
         monkeypatch.setattr(fast, "_BLOCK", 7)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 7 * len(points))
         index = index_on(path, points, monkeypatch)
-        order = np.arange(30) if path == "brute" else index._tree.indices
-        assert np.flatnonzero(order == 29)[0] >= 28  # blocks of 7: rows 28 and 29 last
+        far = len(points) - 1
+        order = np.arange(len(points)) if path == "brute" else index._tree.indices
+        assert np.flatnonzero(order == far)[0] >= 28  # blocks of 7: rows 28 and 29 last
         params = Params(n_d=1e-300, s_n=2)
         dist = index.distances_all(params.s_n)
         sims = similarity_from_distance(dist[:, -1], params.n_d)
-        assert np.flatnonzero(sims < np.finfo(float).tiny).tolist() == [29]
+        assert np.flatnonzero(sims < np.finfo(float).tiny).tolist() == [far]
         with pytest.raises(SimilarityUnderflow):
             score_all_fast(Dataset(points), params)
         with pytest.raises(SimilarityUnderflow):
