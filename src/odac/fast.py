@@ -14,25 +14,32 @@ Scoring splits into two steps:
     returns every point's ascending neighbor distances. They do not
     depend on n_d, and the distances for any s_n <= k are a prefix of
     the same row. One loop over row blocks serves both index paths. The
-    kd-tree takes blocks in its leaf order, so each block's queries walk
-    nearby nodes. It is a sliding-midpoint tree (Maneewongvatana & Mount
-    1999) with leaves of up to _LEAF points: each cell is split at the
-    midpoint of its widest side, the cut sliding to the nearest point when
-    one side would be empty. On clustered data that prunes far more than a
-    median split, and the distances are the same bits, since the shape
-    only decides which pairs a query visits. The brute-force scan takes
-    blocks in input order, sized so a block's estimates stay in a core's
-    cache. It ranks a block against every point with one BLAS matrix
-    product of the expanded squared distance, recomputes the few best
-    candidates exactly, in cdist's order, and rescans by cdist any row
-    whose ranking rounding could have changed (the FAISS scheme, Johnson
-    et al. 2017). The candidates are picked in two stages: each row's
-    estimates are cut into _SLICES equal slices, their element-wise
-    minimum is the minimum of each group of strided columns (one per
-    slice), and only the estimates of the groups with the smallest
-    minima are partitioned. Each block's k + 1 nearest distances, minus
-    column 0, go into one (q, k) array, or, given a per-row reduction,
-    are reduced to one value per row before the next block is queried.
+    kd-tree is a sliding-midpoint tree (Maneewongvatana & Mount 1999)
+    with leaves of up to _LEAF points: each cell is split at the midpoint
+    of its widest side, the cut sliding to the nearest point when one side
+    would be empty. On clustered data that prunes far more than a median
+    split, and the distances are the same bits, since the shape only
+    decides which pairs a query visits. The index holds the points in the
+    leaf order of a first build and builds the tree again on them, so
+    every leaf, and every block of queries, is a contiguous run of the
+    array, and a block's queries walk nearby nodes. The blocks are queried
+    on a pool of one thread per CPU the process may use, each query on
+    one thread, while the calling thread takes the results in block order;
+    with one block or one CPU the calling thread queries them itself. The
+    brute-force scan takes blocks in input order, one at a time (its
+    matrix product already runs on BLAS's threads), sized so a block's
+    estimates stay in a core's cache. It ranks a block against every
+    point with one BLAS matrix product of the expanded squared distance,
+    recomputes the few best candidates exactly, in cdist's order, and
+    rescans by cdist any row whose ranking rounding could have changed
+    (the FAISS scheme, Johnson et al. 2017). The candidates are picked
+    in two stages: each row's estimates are cut into _SLICES equal
+    slices, their element-wise minimum is the minimum of each group of
+    strided columns (one per slice), and only the estimates of the
+    groups with the smallest minima are partitioned. Each block's k + 1
+    nearest distances, minus column 0, go into one (q, k) array, or,
+    given a per-row reduction, are reduced to one value per row as the
+    calling thread takes the block.
   * `scores_from_distances(dist, params)` scores a held (q, k) array one
     block of rows at a time with `_row_scores`: the transform of the
     first s_n columns, summed, so only a block of similarities is ever
@@ -49,7 +56,11 @@ independent oracle.
 
 from __future__ import annotations
 
-from typing import Callable
+import collections
+import concurrent.futures
+import contextlib
+import os
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -79,26 +90,31 @@ _SLICES = 8
 # Candidates per row beyond the m nearest the brute scan must report, so a
 # row's cut usually clears its m-th distance by more than rounding error.
 _SPARE = 8
-# Rows per kd-tree query block and per transform block. Each tree block
-# holds (k + 1) distances and indices per row, 16 B each: 2.6 MiB at
-# k = 40, held next to the (q, k) output (a scoring pass holds only (q,)
-# scores). Measured with the sliding-midpoint tree on 2 cores: interleaved
-# `distances_all` runs on normalised 6-D `datagen` scenes, and the
-# tracemalloc peak of one run.
-# At q = 10^5, k = 40, blocks of 2^11 to 2^14 rows took 4.0-5.1 s (medians
-# of 3-9 runs), and no size was fastest at every leaf size; at _LEAF, 15
-# more pairs gave a median of 4.33 s at both 2^12 and 2^13. Peaks were
-# 37.2, 38.6, 41.4 and 46.9 MiB. At q = 1.5 * 10^4, k = 80, every size
-# took 0.60-0.74 s, with peaks of 12.6, 15.2, 20.5 and 29.2 MiB. So
-# memory decides.
-_BLOCK = 1 << 12
-# Points per kd-tree leaf. Same runs at _BLOCK: medians of 9 runs of 4.7,
-# 4.4, 4.5, 4.6 and 5.0 s at leaf sizes 16, 24, 32, 48 and 64 for
-# q = 10^5, against 7.1 s for scipy's default median-split tree (leaves
-# of 16); 0.70, 0.65, 0.64, 0.62 and 0.64 s for q = 1.5 * 10^4, against
-# 0.80 s. Sizes 24 to 48 lie within the runs' spread (single runs vary by
-# about 0.5 s at q = 10^5), and 32 sits in the middle of that range.
-_LEAF = 32
+# Rows per kd-tree query block and per transform block. A query block
+# holds (k + 1) distances and indices per row, 16 B each: 0.6 MiB at
+# k = 40, and the pool holds at most threads + 1 blocks. Measured with the
+# pooled pass over leaf-ordered points on 2 cores: `distances_all` with
+# the scoring reduction on normalised 6-D `datagen` scenes, in 3 sets of
+# 4, 6 and 8 interleaved in-process runs (per-set medians below), and the
+# tracemalloc peak of one run. At q = 10^5, k = 40, leaves of 32 to 64
+# and blocks of 2^10 to 2^12 rows took 2.2-2.9 s, against 3.2-4.0 s for
+# blocks of 2^12 queried one at a time on scipy's threads; at _LEAF, 2^10
+# rows took 2.89, 2.43 and 2.31 s and 2^11 rows 2.51, 2.56 and 2.18 s,
+# with peaks of 2.8 and 4.7 MiB (8.5 MiB at 2^12). At q = 1.5 * 10^4,
+# _LEAF, 2^10 rows took 0.30, 0.28 and 0.29 s at k = 40 and 0.46, 0.45
+# and 0.42 s at k = 80; 2^11 rows 0.32, 0.31 and 0.27 s and 0.51, 0.48
+# and 0.42 s, with peaks of 4.0 and 7.8 MiB at k = 80. No size was
+# faster beyond the runs' spread, so memory decides.
+_BLOCK = 1 << 10
+# Points per kd-tree leaf. In the same runs at q = 10^5, leaves of 32, 48
+# and 64 took 2.71-2.92, 2.51-2.89 and 2.60-2.85 s in the first set;
+# leaves of 40 to 64 took 2.37-2.65 s in the second and 48 and 64 took
+# 2.18-2.32 s in the third. Every size lay within the runs' spread of the
+# others, at both scales, and 48 sits in the middle of the range. For the
+# earlier serial pass over input-ordered points, leaves of 24 to 48 had
+# measured alike, and scipy's default median-split tree (leaves of 16)
+# had taken 1.3-1.6 times as long.
+_LEAF = 48
 
 
 def similarity_from_distance(d, n_d: float):
@@ -131,9 +147,15 @@ class NeighborIndex:
         self._exp = int(np.frexp(np.abs(points).max(initial=0.0))[1])
         self._points = np.ldexp(points, -self._exp)
         if points.shape[1] <= _TREE_MAX_DIM:
-            self._tree = cKDTree(self._points, leafsize=_LEAF, balanced_tree=False)
+            # The points are held in the leaf order of a first build, and
+            # the tree is built again on them: its leaves are then
+            # contiguous runs of the array, and so is each query block.
+            # _order maps a position back to the input row.
+            self._order = _sliding_midpoint(self._points).indices
+            self._points = self._points[self._order]
+            self._tree = _sliding_midpoint(self._points)
             return
-        self._tree = None
+        self._tree = self._order = None
         # The brute scan ranks candidates on points centred on their mean:
         # the expanded squared distance then rounds relative to the spread
         # of the data, not to its offset from the origin. The columns are
@@ -164,33 +186,49 @@ class NeighborIndex:
 
         With `reduce`, each block's (rows, k) distances are passed to it
         instead, and the one value per row it returns is stored: the
-        result is a (q,) array, and at most one block of distances is
-        held at a time.
+        result is a (q,) array.
+
+        Both paths take row blocks. The brute scan takes blocks of input
+        rows, one at a time. The kd-tree takes contiguous slices of its
+        leaf-ordered points, queried by a pool of threads (one per CPU),
+        at most threads + 1 blocks held or in progress at once. Either
+        way the results are taken in block order in the calling thread,
+        which scales them, runs `reduce` and stores them in their input
+        rows. Every pool thread has ended when this returns or raises.
         """
         q = self._points.shape[0]
         if not 1 <= k <= q - 1:
             raise InvalidTopR(f"s_n = {k} but only {q - 1} other points exist")
         if self._tree is None:
-            order, rows, nearest = np.arange(q), max(1, _BRUTE_CELLS // q), self._scan
+            # One block at a time: each block's matrix product already
+            # runs on BLAS's threads.
+            order, size = np.arange(q), max(1, _BRUTE_CELLS // q)
+            blocks = [order[start : start + size] for start in range(0, q, size)]
+            passes = (self._scan(block, k + 1) for block in blocks)
         else:
-            order, rows, nearest = self._tree.indices, _BLOCK, self._query
+            blocks = [slice(start, start + _BLOCK) for start in range(0, q, _BLOCK)]
+            passes = _in_order(lambda block: self._query(block, k + 1), blocks, _cpus())
         out = np.empty((q, k) if reduce is None else q)
-        for start in range(0, q, rows):
-            block = order[start : start + rows]
-            # Each point is at distance 0 from itself, so column 0 is
-            # always a zero; dropping it leaves the k true neighbor
-            # distances (a duplicate twin, or a point whose differences
-            # underflow, may stand in for self at the same 0).
-            dist = nearest(block, k + 1)[:, 1:]
-            np.ldexp(dist, self._exp, out=dist)
-            out[block] = dist if reduce is None else reduce(dist)
-            # Dropped before the next block allocates its own arrays.
-            del dist
+        with contextlib.closing(passes):
+            for block, dist in zip(blocks, passes):
+                # Each point is at distance 0 from itself, so column 0 is
+                # always a zero; dropping it leaves the k true neighbor
+                # distances (a duplicate twin, or a point whose differences
+                # underflow, may stand in for self at the same 0).
+                dist = dist[:, 1:]
+                np.ldexp(dist, self._exp, out=dist)
+                rows = block if self._order is None else self._order[block]
+                out[rows] = dist if reduce is None else reduce(dist)
+                # Dropped before the next block's result is taken.
+                del dist
         return out
 
-    def _query(self, block: np.ndarray, m: int) -> np.ndarray:
-        """Ascending distances from each block point to its m nearest points, by kd-tree."""
-        return self._tree.query(self._points[block], k=m, workers=-1)[0]
+    def _query(self, block: slice, m: int) -> np.ndarray:
+        """Ascending distances from a slice of the points to their m nearest points, by kd-tree.
+
+        Run on one thread: `distances_all` runs one query per thread.
+        """
+        return self._tree.query(self._points[block], k=m, workers=1)[0]
 
     def _scan(self, block: np.ndarray, m: int) -> np.ndarray:
         """Ascending distances from each block point to its m nearest points, by brute force.
@@ -230,6 +268,47 @@ class NeighborIndex:
         if width < q and close.any():
             nearest[close] = _nearest_exact(rows[close], self._points, m)
         return nearest
+
+
+def _sliding_midpoint(points: np.ndarray) -> cKDTree:
+    """A sliding-midpoint kd-tree over `points`, with leaves of up to _LEAF points."""
+    return cKDTree(points, leafsize=_LEAF, balanced_tree=False)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_order(fn: Callable, items: list, threads: int) -> Iterator:
+    """Yield fn(item) for each item, in order, computed on up to `threads` threads.
+
+    With one thread or one item, each result is computed in the calling
+    thread when it is asked for. Otherwise a pool of threads computes
+    them, at most threads + 1 results held or in progress at once, so
+    memory stays a few items' worth however many items there are. A
+    result's exception is raised when that result is reached. The pool
+    is shut down, waiting for its threads, when the generator finishes
+    or is closed.
+    """
+    threads = min(threads, len(items))
+    if threads <= 1:
+        yield from map(fn, items)
+        return
+    pool = concurrent.futures.ThreadPoolExecutor(threads)
+    ahead = collections.deque()
+    try:
+        for item in items:
+            ahead.append(pool.submit(fn, item))
+            if len(ahead) > threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _smallest(approx: np.ndarray, width: int) -> np.ndarray:

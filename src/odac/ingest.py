@@ -1,7 +1,7 @@
 """Dataset I/O and preprocessing: every CSV read and write, min-max scaling.
 
 Datasets, scores and the evaluation reports are all written by
-`_write_rows`. Both readers go through `_read_table`. For a path or a
+`_write_lines`. Both readers go through `_read_table`. For a path or a
 seekable byte stream, `read_csv` first parses the numbers with numpy's
 chunked `np.loadtxt` (`_read_fast`); if that fails in any way, or the
 label column holds more than 0/1, the source is read again by the
@@ -38,7 +38,7 @@ from .types import Dataset, LabeledDataset, ScoreReport, validate_dataset
 Source = Union[str, os.PathLike, io.IOBase]
 # What "surrogateescape" decodes an invalid byte 0x80..0xFF to.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
-# Lines per write of `_write_rows`. Writing a 10^5-point 6-D dataset in
+# Lines per write of `_write_lines`. Writing a 10^5-point 6-D dataset in
 # one join took as long and held 41.5 MiB of text (tracemalloc's peak);
 # in joins of 2^12 lines the peak was 1.7 MiB.
 _WRITE_LINES = 1 << 12
@@ -288,16 +288,24 @@ def read_species_table(
 
 
 def _write_rows(sink: Source, header, rows) -> None:
-    """Write a header row and then the rows as CSV to a path or stream.
+    """Write a header row and then rows of string cells as CSV to a path or stream.
 
-    Cells are strings, joined by commas. Every cell this package writes
-    is a formatted number or a fixed column name, so none needs CSV
-    quoting, and joins write what csv.writer would, faster (on 10^5
-    score rows, in about half its time). Lines are joined _WRITE_LINES at a time, so the text held
-    stays flat however many rows there are. A caller's stream is
-    flushed and left open.
+    Every cell this package writes is a formatted number or a fixed
+    column name, so none needs CSV quoting, and joining the cells with
+    commas writes what csv.writer would, faster (on 10^5 score rows, in
+    about half its time).
     """
-    lines = (",".join(row) for row in itertools.chain([header], rows))
+    _write_lines(sink, map(",".join, itertools.chain([header], rows)))
+
+
+def _write_lines(sink: Source, lines) -> None:
+    """Write CSV lines, each without its newline, to a path or stream.
+
+    Lines are joined _WRITE_LINES at a time, so the text held stays flat
+    however many lines there are. A caller's stream is flushed and left
+    open.
+    """
+    lines = iter(lines)
     with _text_handle(sink, "w") as handle:
         while chunk := list(itertools.islice(lines, _WRITE_LINES)):
             chunk.append("")
@@ -308,12 +316,19 @@ def _write_rows(sink: Source, header, rows) -> None:
 def write_csv(data: "Dataset | LabeledDataset", sink: Source) -> None:
     """Write a dataset as CSV, with a trailing `label` column when labeled."""
     labeled = isinstance(data, LabeledDataset)
-    dataset = data.data if labeled else data
-    names = [f"x{j + 1}" for j in range(dataset.n)] + (["label"] if labeled else [])
-    rows = ([repr(float(v)) for v in point] for point in dataset.points)
+    points = data.data.points if labeled else data.points
+    names = [f"x{j + 1}" for j in range(points.shape[1])] + (["label"] if labeled else [])
+    # repr of a Python float is its shortest round-trip form. The points
+    # become Python floats _WRITE_LINES rows at a time, so the lists held
+    # stay flat too.
+    rows = (
+        ",".join(map(repr, row))
+        for start in range(0, len(points), _WRITE_LINES)
+        for row in points[start : start + _WRITE_LINES].tolist()
+    )
     if labeled:
-        rows = (row + ["1" if f else "0"] for row, f in zip(rows, data.is_outlier))
-    _write_rows(sink, names, rows)
+        rows = (row + (",1" if f else ",0") for row, f in zip(rows, data.is_outlier.tolist()))
+    _write_lines(sink, itertools.chain([",".join(names)], rows))
 
 
 def write_scores(report: ScoreReport, sink: Source) -> None:
@@ -324,7 +339,7 @@ def write_scores(report: ScoreReport, sink: Source) -> None:
     """
     scores = report.scores.tolist()
     rows = (
-        (str(point), format(scores[point], ".12g"), str(rank))
+        "%d,%.12g,%d" % (point, scores[point], rank)
         for rank, point in enumerate(report.ranking.tolist(), start=1)
     )
-    _write_rows(sink, ["index", "score", "rank"], rows)
+    _write_lines(sink, itertools.chain(["index,score,rank"], rows))

@@ -295,5 +295,5 @@ def test_c8_performance_report():
     print(
         f"\n[acceptance] C8 performance (non-gating): naive q=5000 {t_naive:.2f}s, "
         f"fast q=50000 {t_fast:.2f}s, projected speedup {ratio:.0f}x "
-        f"(target >= 10x; see benchmarks/benchmark_scaling.py)"
+        f"(target >= 10x; run alone: pytest -s tests/test_acceptance.py::test_c8_performance_report)"
     )

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -353,14 +354,15 @@ class TestBlockedPass:
     def queries(self, monkeypatch):
         """Shrink the tree blocks to 7 rows and record every query's size."""
         calls = []
+        query = NeighborIndex._query
 
-        class RecordingTree(fast.cKDTree):
-            def query(self, x, *args, **kwargs):
-                calls.append(len(x))
-                return super().query(x, *args, **kwargs)
+        def recording_query(index, block, m):
+            dist = query(index, block, m)
+            calls.append(len(dist))  # pool threads append in any order
+            return dist
 
         monkeypatch.setattr(fast, "_BLOCK", 7)
-        monkeypatch.setattr(fast, "cKDTree", RecordingTree)
+        monkeypatch.setattr(NeighborIndex, "_query", recording_query)
         return calls
 
     @pytest.fixture
@@ -414,7 +416,7 @@ class TestBlockedPass:
         dist = NeighborIndex(points).distances_all(k)
         assert np.array_equal(dist, reference)
         assert np.array_equal(score_all_fast(Dataset(points), params).scores, reference_scores)
-        assert queries == 2 * ([7] * (q // 7) + ([q % 7] if q % 7 else []))
+        assert sorted(queries) == sorted(2 * ([7] * (q // 7) + ([q % 7] if q % 7 else [])))
 
     @staticmethod
     def tree_scene(name):
@@ -518,22 +520,60 @@ class TestBlockedPass:
     def test_underflow_only_in_the_last_block(self, monkeypatch, path):
         # 29 points in the unit square and, last, one 1e10 away. At
         # n_d = 1e-300 only that point's similarities (about 1e-310) are
-        # subnormal, and it is taken in the last of five blocks.
+        # subnormal, and it is taken in the last of five blocks. The tree
+        # pass queries its blocks on a pool of 3 threads, more than the
+        # blocks left when the last is scored: the error must still reach
+        # the caller, and every pool thread be gone when it does.
         points = np.vstack([np.random.default_rng(33).uniform(size=(29, 2)), [1e10, 0.0]])
         monkeypatch.setattr(fast, "_BLOCK", 7)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 7 * len(points))
+        monkeypatch.setattr(fast, "_cpus", lambda: 3)
         index = index_on(path, points, monkeypatch)
         far = len(points) - 1
-        order = np.arange(len(points)) if path == "brute" else index._tree.indices
+        order = np.arange(len(points)) if path == "brute" else index._order
         assert np.flatnonzero(order == far)[0] >= 28  # blocks of 7: rows 28 and 29 last
         params = Params(n_d=1e-300, s_n=2)
         dist = index.distances_all(params.s_n)
         sims = similarity_from_distance(dist[:, -1], params.n_d)
         assert np.flatnonzero(sims < np.finfo(float).tiny).tolist() == [far]
-        with pytest.raises(SimilarityUnderflow):
+        threads = threading.active_count()
+        # The error is held, and its traceback with the pass's frame, while
+        # the threads are counted.
+        with pytest.raises(SimilarityUnderflow) as raised:
             score_all_fast(Dataset(points), params)
+        assert threading.active_count() == threads, raised
         with pytest.raises(SimilarityUnderflow):
             scores_from_distances(dist, params)
+
+    @pytest.mark.parametrize("k", [1, 199])  # the nearest; every other point
+    def test_pooled_pass_matches_serial(self, monkeypatch, k):
+        # A clustered scene with duplicate twins, in 7-row tree blocks:
+        # queried on a pool of 4 threads, more than the cores, the
+        # distances and scores are the bits of the pass on one thread.
+        points = generate(SyntheticSpec(dim=6, normal_count=190, anomaly_count=10, seed=6))
+        points = points.data.points.copy()
+        points[150:160] = points[:10]
+        data, params = Dataset(points), Params(n_d=0.5, s_n=k)
+        monkeypatch.setattr(fast, "_BLOCK", 7)
+        callers = set()
+        query = NeighborIndex._query
+
+        def recording_query(index, block, m):
+            callers.add(threading.get_ident())
+            return query(index, block, m)
+
+        monkeypatch.setattr(NeighborIndex, "_query", recording_query)
+        results = {}
+        for cpus in (1, 4):
+            monkeypatch.setattr(fast, "_cpus", lambda: cpus)
+            callers.clear()
+            results[cpus] = (
+                NeighborIndex(points).distances_all(k),
+                score_all_fast(data, params).scores,
+            )
+            assert (callers == {threading.get_ident()}) == (cpus == 1)
+        for serial, pooled in zip(results[1], results[4]):
+            assert np.array_equal(serial, pooled)
 
     @pytest.mark.parametrize("path", ["tree", "brute"])
     def test_underflowing_difference_reads_as_a_twin(self, monkeypatch, path):

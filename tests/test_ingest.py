@@ -243,6 +243,51 @@ def test_write_csv_leaves_byte_stream_open():
     assert sink.getvalue() == b"x1,x2\n1.0,2.5\n3.0,4.0\n-5.0,6.0\n"
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(FINITE)
+@settings(max_examples=500)
+def test_percent_format_matches_format_spec(x):
+    # write_scores formats a score with "%.12g" %, as format(x, ".12g") does.
+    assert "%.12g" % x == format(x, ".12g")
+
+
+@given(
+    rows=st.lists(st.lists(FINITE, min_size=2, max_size=2), min_size=3, max_size=20),
+    flags=st.lists(st.booleans(), min_size=20, max_size=20),
+    chunk=st.integers(1, 8),
+)
+@settings(max_examples=100, deadline=None)
+def test_writers_match_per_cell_formatting(rows, flags, chunk):
+    """The writers format Python floats from `tolist` a chunk at a time.
+
+    They must write the bytes of formatting each numpy value on its own:
+    `repr(float(v))` per coordinate, `format(s, ".12g")` per score.
+    """
+    points = np.asarray(rows)
+    labeled = LabeledDataset(Dataset(points), np.asarray(flags[: len(rows)]))
+    scores = ScoreReport(points[:, 0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_WRITE_LINES", chunk)
+        for data in (labeled.data, labeled):
+            sink = io.StringIO()
+            write_csv(data, sink)
+            label = data is labeled
+            expected = ["x1,x2" + (",label" if label else "")] + [
+                ",".join([repr(float(v)) for v in p] + (["1" if f else "0"] if label else []))
+                for p, f in zip(points, labeled.is_outlier)
+            ]
+            assert sink.getvalue() == "\n".join(expected) + "\n"
+        sink = io.StringIO()
+        write_scores(scores, sink)
+    expected = ["index,score,rank"] + [
+        f"{point},{format(scores.scores[point], '.12g')},{rank}"
+        for rank, point in enumerate(scores.ranking, start=1)
+    ]
+    assert sink.getvalue() == "\n".join(expected) + "\n"
+
+
 def test_write_scores_roundtrip_preserves_ranking():
     rng = np.random.default_rng(32)
     scores = rng.uniform(0.0, 5.0, 25)
