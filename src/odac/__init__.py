@@ -21,7 +21,19 @@ workloads.
 This namespace holds the input types, the entry points and the typed
 errors. Helpers such as the oracle's `cosine_similarity` or the fast
 path's `neighbor_distances` are imported from their own modules.
+
+`import odac` loads numpy but not scipy. The fast scorer's k-NN pass is
+the package's only use of scipy, and importing `scipy.spatial` takes
+most of odac's import time and memory. So `score_all_fast`,
+`run_trials`, `donor_trials_accuracy`, `percentile_recall`, `sweep` and
+the modules `fast` and `evaluate`, which import it, load on first
+access. `odac.cli` imports them at once, so a command never imports a
+module mid-run.
 """
+
+from __future__ import annotations
+
+import importlib
 
 from .datagen import SyntheticSpec, generate
 from .errors import (
@@ -35,8 +47,6 @@ from .errors import (
     TooFewDimensions,
     TooFewPoints,
 )
-from .evaluate import donor_trials_accuracy, percentile_recall, run_trials, sweep
-from .fast import score_all_fast
 from .ingest import preprocess, read_csv, read_species_table, write_csv, write_scores
 from .naive import score_all_naive
 from .types import (
@@ -83,3 +93,29 @@ __all__ = [
     "NoOutliersLabeled",
     "SimilarityUnderflow",
 ]
+
+# Names that load on first access, by the module that holds them. These
+# modules import scipy (`evaluate` through `fast`).
+_LAZY = {
+    "fast": "fast",
+    "evaluate": "evaluate",
+    "score_all_fast": "fast",
+    "run_trials": "evaluate",
+    "donor_trials_accuracy": "evaluate",
+    "percentile_recall": "evaluate",
+    "sweep": "evaluate",
+}
+
+
+def __getattr__(name: str):
+    """Import a lazily loaded name on first access (PEP 562) and keep it."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -52,14 +52,19 @@ only the scores: the (q, s_n) distances are never held, and the scores
 are the same bits as the two steps give. The reduction is asserted
 against the literal scorer by the test suite; `odac.naive` remains the
 independent oracle.
+
+Every module a pass uses, scipy's and the thread pool's included, is
+imported when this module is: an import inside a pass would load it
+after the pass has allocated its memory, which can leave the heap
+untrimmed and raise the process's peak memory.
 """
 
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import contextlib
 import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator
 
 import numpy as np
@@ -298,7 +303,7 @@ def _in_order(fn: Callable, items: list, threads: int) -> Iterator:
     if threads <= 1:
         yield from map(fn, items)
         return
-    pool = concurrent.futures.ThreadPoolExecutor(threads)
+    pool = ThreadPoolExecutor(threads)
     ahead = collections.deque()
     try:
         for item in items:
