@@ -7,6 +7,7 @@ error (bad flags or parameter values). Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 
 from . import datagen, evaluate, ingest
@@ -16,6 +17,31 @@ from .naive import score_all_naive
 from .types import DEFAULT_N_D, DEFAULT_S_N, LabeledDataset, Params
 
 _SCORERS = {"fast": score_all_fast, "naive": score_all_naive}
+
+# glibc's malloc moves its mmap and trim thresholds with what the process
+# has freed so far, so whether a large array is reused, kept or given back
+# (and with it a command's peak memory) would depend on the process's
+# history, down to the order its modules were imported in. Fixed
+# thresholds take that history out for large arrays: an array of 16 MiB
+# or more gets its own mapping, unmapped when freed, and the heap gives
+# back a free top of more than 16 MiB. Smaller blocks stay on the heap,
+# where a block loop reuses them. Set on import, before any command runs.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's <malloc.h>
+_MALLOC_THRESHOLD = 16 << 20
+
+
+def _fix_malloc_thresholds() -> None:
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):  # a libc without mallopt
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLD)
+
+
+_fix_malloc_thresholds()
 
 
 def _add_scoring_flags(parser) -> None:

@@ -3,12 +3,17 @@
 `import odac` must not load scipy: the modules that need it load on
 first access. A command must not import a module while it runs either,
 since `odac.cli` loads everything a command uses before it starts.
+Importing `odac.cli` also fixes glibc's malloc thresholds, so a large
+array freed by a command goes back to the system.
 """
 
 import json
 import os
+import platform
 import subprocess
 import sys
+
+import pytest
 
 from odac import SyntheticSpec, datagen, ingest
 from odac.fast import _BLOCK
@@ -80,3 +85,29 @@ def test_no_command_imports_a_module(tmp_path):
         ingest.write_csv(datagen.generate(spec), tmp_path / f"d{dim}.csv")
     changed = json.loads(run_fresh(COMMANDS, tmp_path).splitlines()[-1])
     assert changed == dict.fromkeys(["score 6-D", "score 25-D", "sweep", "eval", "generate"], [])
+
+
+FREED_BLOCKS = """
+import numpy as np
+import odac.cli
+
+def rss_mib():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+
+before = rss_mib()
+for _ in range(3):
+    block = np.ones(20 << 17)  # 20 MiB
+    del block
+print(rss_mib() - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_freed_large_blocks_return_to_the_system():
+    # With glibc's moving thresholds, freeing the first block raises the
+    # mmap threshold past 20 MiB, so the next ones come from the heap and
+    # stay resident after they are freed.
+    assert float(run_fresh(FREED_BLOCKS)) < 4.0
