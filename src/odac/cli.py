@@ -26,22 +26,27 @@ _SCORERS = {"fast": score_all_fast, "naive": score_all_naive}
 # or more gets its own mapping, unmapped when freed, and the heap gives
 # back a free top of more than 16 MiB. Smaller blocks stay on the heap,
 # where a block loop reuses them. Set on import, before any command runs.
+# Free heap under the threshold, or below a block still in use, stays
+# resident, so `main` also trims the heap when each command ends.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's <malloc.h>
 _MALLOC_THRESHOLD = 16 << 20
 
 
-def _fix_malloc_thresholds() -> None:
+def _glibc():
+    """The C library on Linux, if it has glibc's mallopt and malloc_trim; else None."""
     if not sys.platform.startswith("linux"):
-        return
+        return None
     try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError):  # a libc without mallopt
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLD)
+        libc = ctypes.CDLL(None)
+    except OSError:
+        return None
+    return libc if hasattr(libc, "mallopt") and hasattr(libc, "malloc_trim") else None
 
 
-_fix_malloc_thresholds()
+_LIBC = _glibc()
+if _LIBC is not None:
+    _LIBC.mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLD)
+    _LIBC.mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLD)
 
 
 def _add_scoring_flags(parser) -> None:
@@ -229,6 +234,20 @@ _COMMANDS = {
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    """Run one command; return its exit code.
+
+    When the command ends, failed or not, the heap's free pages are given
+    back to the system, so what it freed does not stay resident under
+    the next command's allocations.
+    """
+    try:
+        return _run(argv)
+    finally:
+        if _LIBC is not None:
+            _LIBC.malloc_trim(0)
+
+
+def _run(argv: "list[str] | None") -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -482,6 +482,29 @@ class TestBlockedPass:
         assert np.array_equal(dist, self.sorted_cdist(points, 5))
         assert rescans == [25]
 
+    @given(
+        dim=st.sampled_from([2, 6, 25, 33]),
+        scales=st.sampled_from(["offset", "mixed"]),
+        q=st.integers(2, 80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rescan_is_cdist_bit_for_bit(self, dim, scales, q, seed):
+        # Random differences round differently in another summation order,
+        # so these catch a change of order where the unit vectors, whose
+        # squares are exact, cannot.
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-1.0, 1.0, size=(q, dim))
+        if scales == "offset":
+            points += 1e6
+        else:  # every column, and every point, at a scale of its own
+            points *= 10.0 ** rng.uniform(-6, 6, size=dim)
+            points *= 10.0 ** rng.uniform(-3, 3, size=(q, 1))
+        rows = points[rng.integers(0, q, size=rng.integers(1, 9))]
+        m = int(rng.integers(1, q + 1))
+        expected = np.sort(cdist(rows, points), axis=1)[:, :m]
+        assert np.array_equal(fast._nearest_exact(rows, points, m), expected)
+
     def test_translated_scene_is_exact_without_rescan(self, rescans, monkeypatch):
         # Centring keeps the expanded formula's rounding at the scale of the
         # spread (1), not of the offset (1e6), where no margin would clear it.
