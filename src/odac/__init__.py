@@ -20,7 +20,7 @@ workloads.
 
 This namespace holds the input types, the entry points and the typed
 errors. Helpers such as the oracle's `cosine_similarity` or the fast
-path's `neighbor_distances` are imported from their own modules.
+path's `score_settings` are imported from their own modules.
 
 `import odac` loads numpy but not scipy, and no command does until a
 pass builds a kd-tree: only the tree needs scipy, so `scipy.spatial`

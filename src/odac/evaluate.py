@@ -11,8 +11,8 @@ paths are interchangeable):
     score ranking (bucket b covers ranks floor(b*q*w/100)+1 through
     floor((b+1)*q*w/100) for width w%).
   * sweep: worst-outlier rank (the largest ascending-score rank held by
-    any true outlier) as one parameter varies. With the fast scorer, one
-    k-NN pass serves every value.
+    any true outlier) as one parameter varies. The fast scorer scores
+    every value in one call of `fast.score_settings`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .datagen import SyntheticSpec, generate
 from .errors import NoOutliersLabeled
-from .fast import neighbor_distances, score_all_fast, scores_from_distances
+from .fast import score_all_fast, score_settings
 from .ingest import _write_rows
 from .types import Dataset, LabeledDataset, Params, ScoreReport
 
@@ -245,8 +245,8 @@ def sweep(
 ) -> SweepReport:
     """Worst-outlier rank for each value of one parameter.
 
-    With the default fast scorer the whole sweep costs one k-NN pass, at
-    the largest s_n it needs; any other scorer is called once per value.
+    With the default fast scorer every value is scored by one call of
+    `fast.score_settings`; any other scorer is called once per value.
 
     Args:
         vary: "n_d" or "s_n"; the other knob stays at its `fixed` value.
@@ -259,10 +259,7 @@ def sweep(
     _require_outliers(labeled)
     settings = [replace(fixed, **{vary: value}) for value in values]
     if scorer is score_all_fast:
-        # Neighbor distances do not depend on n_d, and those for a smaller
-        # s_n are a prefix of each row: one k-NN pass serves every setting.
-        dist = neighbor_distances(labeled.data, max(p.s_n for p in settings))
-        reports = (scores_from_distances(dist, p) for p in settings)
+        reports = score_settings(labeled.data, settings)
     else:
         reports = (scorer(labeled.data, p) for p in settings)
     curve = tuple(

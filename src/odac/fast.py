@@ -7,51 +7,41 @@ between the two original points:
     S = n_d / sqrt(d^2 + n_d^2)
 
 which is strictly decreasing in d. The s_n largest similarities of a
-point are therefore attained exactly at its s_n nearest neighbors.
-Scoring splits into two steps:
+point are therefore attained exactly at its s_n nearest neighbors. Those
+distances do not depend on n_d, and the distances for any s_n <= k are a
+prefix of the same ascending row. So `score_settings` scores a list of
+settings with one exact k-NN pass at their largest s_n: the pass hands
+each block of rows to `_row_scores`, which scores it for every setting,
+and only the (q, settings) scores are kept, never the distances.
+`score_all_fast` is the one-setting case; `evaluate.sweep` tunes n_d and
+s_n with the list.
 
-  * `neighbor_distances(data, k)` runs the one exact k-NN pass and
-    returns every point's ascending neighbor distances. They do not
-    depend on n_d, and the distances for any s_n <= k are a prefix of
-    the same row. One loop over row blocks serves both index paths. The
-    kd-tree is a sliding-midpoint tree (Maneewongvatana & Mount 1999)
-    with leaves of up to _LEAF points: each cell is split at the midpoint
-    of its widest side, the cut sliding to the nearest point when one side
-    would be empty. On clustered data that prunes far more than a median
-    split, and the distances are the same bits, since the shape only
-    decides which pairs a query visits. The index holds the points in the
-    leaf order of a first build and builds the tree again on them, so
-    every leaf, and every block of queries, is a contiguous run of the
-    array, and a block's queries walk nearby nodes. The blocks are queried
-    on a pool of one thread per CPU the process may use, each query on
-    one thread, while the calling thread takes the results in block order;
-    with one block or one CPU the calling thread queries them itself. The
-    brute-force scan takes blocks in input order, one at a time (its
-    matrix product already runs on BLAS's threads), sized so a block's
-    estimates stay in a core's cache. It ranks a block against every
-    point with one BLAS matrix product of the expanded squared distance,
-    recomputes the few best candidates exactly, in cdist's order, and
-    rescans against every point, in the same order, any row whose
-    ranking rounding could have changed (the FAISS scheme, Johnson et al.
-    2017). The candidates are picked in two stages: each row's estimates
-    are cut into _SLICES equal slices, their element-wise minimum is the
-    minimum of each group of strided columns (one per slice), and only
-    the estimates of the groups with the smallest minima are
-    partitioned. Each block's k + 1 nearest distances, minus column 0, go
-    into one (q, k) array, or, given a per-row reduction, are reduced to
-    one value per row as the calling thread takes the block.
-  * `scores_from_distances(dist, params)` scores a held (q, k) array one
-    block of rows at a time with `_row_scores`: the transform of the
-    first s_n columns, summed, so only a block of similarities is ever
-    held.
-
-So one pass at the largest s_n serves every parameter setting, which is
-how `evaluate.sweep` tunes n_d and s_n. `score_all_fast` needs one
-setting, so its pass hands each block straight to `_row_scores` and keeps
-only the scores: the (q, s_n) distances are never held, and the scores
-are the same bits as the two steps give. The reduction is asserted
-against the literal scorer by the test suite; `odac.naive` remains the
-independent oracle.
+One loop over row blocks serves both index paths. The kd-tree is a
+sliding-midpoint tree (Maneewongvatana & Mount 1999) with leaves of up
+to _LEAF points: each cell is split at the midpoint of its widest side,
+the cut sliding to the nearest point when one side would be empty. On
+clustered data that prunes far more than a median split, and the
+distances are the same bits, since the shape only decides which pairs a
+query visits. The index holds the points in the leaf order of a first
+build and builds the tree again on them, so every leaf, and every block
+of queries, is a contiguous run of the array, and a block's queries walk
+nearby nodes. The blocks are queried on a pool of one thread per CPU the
+process may use, each query on one thread, while the calling thread
+takes the results in block order; with one block or one CPU the calling
+thread queries them itself. The brute-force scan takes blocks in input
+order, one at a time (its matrix product already runs on BLAS's
+threads), sized so a block's estimates stay in a core's cache. It ranks
+a block against every point with one BLAS matrix product of the expanded
+squared distance, recomputes the few best candidates exactly, in cdist's
+order, and rescans against every point, in the same order, any row whose
+ranking rounding could have changed (the FAISS scheme, Johnson et al.
+2017). The candidates are picked in two stages: each row's estimates are
+cut into _SLICES equal slices, their element-wise minimum is the minimum
+of each group of strided columns (one per slice), and only the estimates
+of the groups with the smallest minima are partitioned. Each block's
+k + 1 nearest distances, minus column 0, are reduced as the calling
+thread takes the block. The reduction is asserted against the literal
+scorer by the test suite; `odac.naive` remains the independent oracle.
 
 Only the kd-tree needs scipy, so the brute-force path runs on numpy
 alone and this module imports no scipy. `scipy.spatial` is imported when
@@ -71,7 +61,7 @@ import collections
 import contextlib
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -189,16 +179,16 @@ class NeighborIndex:
     def distances_all(
         self, k: int, reduce: Callable[[np.ndarray], np.ndarray] | None = None
     ) -> np.ndarray:
-        """Ascending distances to the k nearest neighbors of every point.
+        """Ascending distances to the k nearest neighbors of every point, reduced.
 
-        Returns a (q, k) array; a point is never its own neighbor, but a
-        duplicate twin is, at distance 0. Only distances are reported:
-        tied boundary neighbors are interchangeable for any
-        distance-based score, so no index tie-break is needed.
-
-        With `reduce`, each block's (rows, k) distances are passed to it
-        instead, and the one value per row it returns is stored: the
-        result is a (q,) array.
+        Each block's (rows, k) distances are passed to `reduce`, and what
+        it returns for the block is stored in those rows of the result:
+        one row per point, as many columns as `reduce` returns. Without
+        `reduce` the result is the (q, k) distances themselves. A point is
+        never its own neighbor, but a duplicate twin is, at distance 0.
+        Only distances are reported: tied boundary neighbors are
+        interchangeable for any distance-based score, so no index
+        tie-break is needed.
 
         Both paths take row blocks. The brute scan takes blocks of input
         rows, one at a time. The kd-tree takes contiguous slices of its
@@ -220,7 +210,7 @@ class NeighborIndex:
         else:
             blocks = [slice(start, start + _BLOCK) for start in range(0, q, _BLOCK)]
             passes = _in_order(lambda block: self._query(block, k + 1), blocks, _cpus())
-        out = np.empty((q, k) if reduce is None else q)
+        out = None
         with contextlib.closing(passes):
             for block, dist in zip(blocks, passes):
                 # Each point is at distance 0 from itself, so column 0 is
@@ -230,9 +220,12 @@ class NeighborIndex:
                 dist = dist[:, 1:]
                 np.ldexp(dist, self._exp, out=dist)
                 rows = block if self._order is None else self._order[block]
-                out[rows] = dist if reduce is None else reduce(dist)
+                value = dist if reduce is None else reduce(dist)
+                if out is None:
+                    out = np.empty((q,) + value.shape[1:])
+                out[rows] = value
                 # Dropped before the next block's result is taken.
-                del dist
+                del dist, value
         return out
 
     def _query(self, block: slice, m: int) -> np.ndarray:
@@ -407,62 +400,67 @@ def _nearest_exact(rows: np.ndarray, points: np.ndarray, m: int) -> np.ndarray:
     return nearest
 
 
-def neighbor_distances(data: Dataset, k: int) -> np.ndarray:
-    """Validate the dataset and return its (q, k) ascending k-NN distances.
+def score_settings(data: Dataset, settings: Sequence[Params]) -> list[ScoreReport]:
+    """Score every point under each setting, from one k-NN pass at the largest s_n.
+
+    Each block of the pass is scored for every setting as soon as its
+    distances are found, so only the (q, settings) scores are held. The
+    dataset and each setting are as for `score_all_fast`, and so is each
+    of the ScoreReports returned, one per setting, in order.
 
     Raises:
-        InvalidTopR: unless 1 <= k <= q - 1.
+        InvalidTopR: the largest s_n exceeds q - 1.
+        SimilarityUnderflow: a summed similarity is below the smallest
+            normal double. It names the first such setting in the list,
+            whichever block the similarity is in.
     """
     validate_dataset(data)
-    return NeighborIndex(data.points).distances_all(k)
+    index = NeighborIndex(data.points)
+    tiny = np.finfo(float).tiny
+    least = np.full(len(settings), np.inf)
+
+    def reduce(dist: np.ndarray) -> np.ndarray:
+        scores = _row_scores(dist, settings, least)
+        # No setting precedes the first, so its underflow ends the pass.
+        if least[0] < tiny:
+            raise SimilarityUnderflow(settings[0].n_d)
+        return scores
+
+    scores = index.distances_all(max(p.s_n for p in settings), reduce)
+    # The others are checked after the pass: a check per block would name
+    # the first setting to underflow in the earliest such block instead.
+    for params, smallest in zip(settings, least):
+        if smallest < tiny:
+            raise SimilarityUnderflow(params.n_d)
+    return [ScoreReport(column) for column in scores.T]
 
 
-def scores_from_distances(dist: np.ndarray, params: Params) -> ScoreReport:
-    """Score every point from its ascending neighbor distances.
+def _row_scores(
+    dist: np.ndarray, settings: Sequence[Params], least: np.ndarray
+) -> np.ndarray:
+    """Scores of a block of rows of ascending distances, one column per setting.
 
-    Args:
-        dist: (q, k) array from `neighbor_distances`; only the first
-            params.s_n columns are read, so any k >= s_n gives the same
-            scores. It is not modified, so a sweep can reuse it.
-        params: Scoring knobs.
-
-    Raises:
-        InvalidTopR: params.s_n exceeds the k columns of `dist`.
-        SimilarityUnderflow: a summed similarity is below the smallest
-            normal double.
+    A setting's column sums the transform of the first s_n distances of
+    each row. least[j] is lowered to the smallest similarity setting j
+    sums in the block.
     """
-    if params.s_n > dist.shape[1]:
-        raise InvalidTopR(
-            f"s_n = {params.s_n} but only {dist.shape[1]} neighbor distances per point"
-        )
-    scores = np.empty(dist.shape[0])
-    for start in range(0, dist.shape[0], _BLOCK):
-        scores[start : start + _BLOCK] = _row_scores(dist[start : start + _BLOCK], params)
-    return ScoreReport(scores)
-
-
-def _row_scores(dist: np.ndarray, params: Params) -> np.ndarray:
-    """Scores of a block of rows of ascending distances, from their first s_n columns.
-
-    Raises:
-        SimilarityUnderflow: a summed similarity is below the smallest
-            normal double.
-    """
-    sims = similarity_from_distance(dist[:, : params.s_n], params.n_d)
-    # The similarity falls as the distance grows, so the smallest one a
-    # row sums sits in column s_n - 1.
-    if sims[:, -1].min() < np.finfo(float).tiny:
-        raise SimilarityUnderflow(params.n_d)
-    # Rows are descending (distances ascending); reverse so the sum
-    # accumulates ascending values like the reference scorer.
-    return sims[:, ::-1].sum(axis=1)
+    scores = np.empty((len(dist), len(settings)))
+    for j, params in enumerate(settings):
+        sims = similarity_from_distance(dist[:, : params.s_n], params.n_d)
+        # The similarity falls as the distance grows, so the smallest one a
+        # row sums sits in column s_n - 1.
+        least[j] = min(least[j], sims[:, -1].min())
+        # Rows are descending (distances ascending); reverse so the sum
+        # accumulates ascending values like the reference scorer.
+        scores[:, j] = sims[:, ::-1].sum(axis=1)
+    return scores
 
 
 def score_all_fast(data: Dataset, params: Params) -> ScoreReport:
     """Score every point via k-NN distances; same contract as the naive path.
 
-    The scores of each block of the k-NN pass are computed as soon as the
-    block's distances are, so the (q, s_n) distances are never held.
+    The one-setting case of `score_settings`, so the (q, s_n) distances
+    are never held.
 
     Args:
         data: Validated dataset (q > 2, n >= 2, finite).
@@ -472,6 +470,4 @@ def score_all_fast(data: Dataset, params: Params) -> ScoreReport:
         ScoreReport matching score_all_naive up to floating-point noise,
         with the identical ranking tie rule.
     """
-    validate_dataset(data)
-    index = NeighborIndex(data.points)
-    return ScoreReport(index.distances_all(params.s_n, lambda d: _row_scores(d, params)))
+    return score_settings(data, [params])[0]

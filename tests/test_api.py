@@ -25,9 +25,7 @@ PUBLIC = {
 MODULE_ONLY = {
     "odac.types": ["ascending_ranking", "validate_dataset"],
     "odac.naive": ["augment", "observation_point", "cosine_similarity"],
-    "odac.fast": [
-        "neighbor_distances", "scores_from_distances", "similarity_from_distance",
-    ],
+    "odac.fast": ["score_settings", "similarity_from_distance"],
     "odac.evaluate": [
         "EvalReport", "PercentileBucket", "PercentileReport", "SweepReport",
         "enumerate_outlier_trials", "exact_set_accuracy", "worst_outlier_rank",

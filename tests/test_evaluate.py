@@ -247,37 +247,51 @@ class TestSweep:
     )
     def test_shared_pass_matches_per_value_scoring(self, vary, values):
         # A near shell, so the worst-outlier rank moves along both curves.
-        labeled = generate(
+        # The 3-D scene takes the kd-tree path. With 22 columns of small
+        # noise it takes the brute path, and its curves still move (a
+        # 25-D shell scene is separated at every value).
+        scene = generate(
             SyntheticSpec(dim=3, normal_count=60, anomaly_count=6,
                           shell_min=1.05, shell_max=1.6, seed=1)
         )
-        fixed = Params(n_d=1.0, s_n=10)
-        report = sweep(labeled, fixed, vary, values)
-        assert len({rank for _, rank in report.curve}) > 1
-        per_value = tuple(
-            (v, worst_outlier_rank(
-                labeled, score_all_fast(labeled.data, replace(fixed, **{vary: v}))
-            ))
-            for v in values
-        )
-        assert report.curve == per_value
-        assert report == sweep(labeled, fixed, vary, values, scorer=score_all_naive)
+        noise = 0.01 * np.random.default_rng(1).uniform(size=(scene.q, 22))
+        padded = np.hstack([scene.data.points, noise])
+        scenes = (scene, LabeledDataset(Dataset(padded), scene.is_outlier))
+        assert [NeighborIndex(s.data.points).method for s in scenes] == ["tree", "brute"]
+        for labeled in scenes:
+            fixed = Params(n_d=1.0, s_n=10)
+            report = sweep(labeled, fixed, vary, values)
+            assert len({rank for _, rank in report.curve}) > 1
+            per_value = tuple(
+                (v, worst_outlier_rank(
+                    labeled, score_all_fast(labeled.data, replace(fixed, **{vary: v}))
+                ))
+                for v in values
+            )
+            assert report.curve == per_value
+            assert report == sweep(labeled, fixed, vary, values, scorer=score_all_naive)
 
     @pytest.mark.parametrize(
         "vary, values, k",
         [("n_d", [2.0, 8.0, 30.0], 10), ("s_n", [3, 17, 8], 17)],
     )
     def test_one_knn_pass_per_sweep(self, monkeypatch, vary, values, k):
-        calls = []
+        # The pass returns one score per point and value, so no sweep holds
+        # the (q, k) distances.
+        labeled = separated_scene(seed=26)
+        calls, shapes = [], []
         original = NeighborIndex.distances_all
 
-        def counting(self, k):
+        def counting(self, k, reduce=None):
             calls.append(k)
-            return original(self, k)
+            out = original(self, k, reduce)
+            shapes.append(out.shape)
+            return out
 
         monkeypatch.setattr(NeighborIndex, "distances_all", counting)
-        sweep(separated_scene(seed=26), Params(n_d=5.0, s_n=10), vary, values)
+        sweep(labeled, Params(n_d=5.0, s_n=10), vary, values)
         assert calls == [k]
+        assert shapes == [(labeled.q, len(values))]
 
     def test_two_column_csv(self):
         labeled = separated_scene(seed=24)

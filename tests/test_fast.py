@@ -11,20 +11,17 @@ from scipy.spatial.distance import cdist
 from odac import (
     Dataset,
     InvalidTopR,
+    LabeledDataset,
     Params,
     SimilarityUnderflow,
     SyntheticSpec,
     generate,
     score_all_fast,
     score_all_naive,
+    sweep,
 )
 from odac import fast
-from odac.fast import (
-    NeighborIndex,
-    neighbor_distances,
-    scores_from_distances,
-    similarity_from_distance,
-)
+from odac.fast import NeighborIndex, score_settings, similarity_from_distance
 from odac.naive import augment, cosine_similarity, observation_point
 
 from conftest import grid_dataset, random_dataset
@@ -112,7 +109,7 @@ class TestNeighborIndex:
 
     def test_capacity(self):
         rng = np.random.default_rng(24)
-        dist = neighbor_distances(random_dataset(rng, 10_000, 6), 5)
+        dist = NeighborIndex(random_dataset(rng, 10_000, 6).points).distances_all(5)
         assert dist.shape == (10_000, 5)
         assert np.all(np.diff(dist, axis=1) >= 0)
 
@@ -185,7 +182,7 @@ class TestScoreAllFast:
         rng = np.random.default_rng(27)
         data = random_dataset(rng, 70, 4)
         s_n, n_d = 9, 12.0
-        dist = neighbor_distances(data, s_n)
+        dist = NeighborIndex(data.points).distances_all(s_n)
         aug = augment(data)
         for i in range(data.q):
             sims = cosine_similarity(observation_point(aug[i], n_d), aug[i], aug)
@@ -237,7 +234,7 @@ def test_extreme_coordinate_scales(scale_exp, nd_exp, dim, seed, twins, shift):
     report, naive = outcomes
     rejected = [isinstance(o, SimilarityUnderflow) for o in outcomes]
     if rejected[0] != rejected[1]:
-        farthest = neighbor_distances(data, params.s_n)[:, -1].max()
+        farthest = NeighborIndex(points).distances_all(params.s_n)[:, -1].max()
         smallest = similarity_from_distance(farthest, params.n_d)
         tiny = np.finfo(float).tiny
         assert abs(smallest - tiny) <= 1e-9 * tiny
@@ -262,33 +259,17 @@ def test_extreme_coordinate_scales(scale_exp, nd_exp, dim, seed, twins, shift):
 
 class TestScoresFromDistances:
     def test_prefixes_match_score_all_fast(self):
-        # Both scorers score a block with `_row_scores`, so they agree bit
-        # for bit. q = 1,000 in 25-D takes the brute path.
+        # One pass at s_n = 30 scores every setting from prefixes of the
+        # same rows, with the bits of a pass per setting. q = 1,000 in
+        # 25-D takes the brute path.
         rng = np.random.default_rng(29)
         for q, dim in ((90, 3), (1_000, 25)):
             data = random_dataset(rng, q, dim)
-            dist = neighbor_distances(data, 30)
-            for s in (1, 2, 7, 30):
-                params = Params(n_d=6.0, s_n=s)
+            settings = [Params(n_d=6.0, s_n=s) for s in (1, 2, 7, 30)]
+            for params, got in zip(settings, score_settings(data, settings)):
                 expected = score_all_fast(data, params)
-                for columns in (dist, dist[:, :s]):
-                    got = scores_from_distances(columns, params)
-                    assert np.array_equal(got.scores, expected.scores)
-                    assert got.ranking.tolist() == expected.ranking.tolist()
-
-    def test_s_n_beyond_columns(self):
-        rng = np.random.default_rng(30)
-        dist = neighbor_distances(random_dataset(rng, 20, 2), 5)
-        with pytest.raises(InvalidTopR):
-            scores_from_distances(dist, Params(n_d=1.0, s_n=6))
-
-    def test_dist_is_not_modified(self):
-        rng = np.random.default_rng(30)
-        dist = neighbor_distances(random_dataset(rng, 40, 3), 6)
-        before = dist.copy()
-        dist.setflags(write=False)  # an in-place write would raise
-        scores_from_distances(dist, Params(n_d=2.0, s_n=5))
-        assert np.array_equal(dist, before)
+                assert np.array_equal(got.scores, expected.scores)
+                assert got.ranking.tolist() == expected.ranking.tolist()
 
 
 def estimate_rows(kind, q, rows=5, seed=0):
@@ -525,19 +506,24 @@ class TestBlockedPass:
 
     @pytest.mark.parametrize("path", ["tree", "brute"])
     def test_streamed_scores_match_two_step(self, monkeypatch, path):
-        # 7-row tree blocks or 3-row brute blocks: score_all_fast scores
-        # each block as the pass yields it, and must give the bits of
-        # scoring the whole (q, s_n) distance array afterwards.
+        # 7-row tree blocks or 3-row brute blocks: score_all_fast and
+        # score_settings score each block as the pass yields it, and must
+        # give the bits of scoring the whole (q, s_n) distance array
+        # afterwards.
         monkeypatch.setattr(fast, "_BLOCK", 7)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 300)
         points = self.points_with_twin(100)
         points[60:64] = points[7]  # four more copies of one point
         data = Dataset(points)
         assert index_on(path, points, monkeypatch).method == path
-        for s_n in (1, 6, 99):  # 99: every other point is a neighbor
-            params = Params(n_d=3.0, s_n=s_n)
-            two_step = scores_from_distances(neighbor_distances(data, s_n), params)
-            assert np.array_equal(score_all_fast(data, params).scores, two_step.scores)
+        # s_n = 99: every other point is a neighbor.
+        settings = [Params(n_d=n_d, s_n=s_n) for n_d in (3.0, 0.2) for s_n in (1, 6, 99)]
+        for params, report in zip(settings, score_settings(data, settings)):
+            dist = NeighborIndex(points).distances_all(params.s_n)
+            sims = similarity_from_distance(dist, params.n_d)
+            two_step = sims[:, ::-1].sum(axis=1)
+            assert np.array_equal(score_all_fast(data, params).scores, two_step)
+            assert np.array_equal(report.scores, two_step)
 
     @pytest.mark.parametrize("path", ["tree", "brute"])
     def test_underflow_only_in_the_last_block(self, monkeypatch, path):
@@ -565,8 +551,34 @@ class TestBlockedPass:
         with pytest.raises(SimilarityUnderflow) as raised:
             score_all_fast(Dataset(points), params)
         assert threading.active_count() == threads, raised
-        with pytest.raises(SimilarityUnderflow):
-            scores_from_distances(dist, params)
+        with pytest.raises(SimilarityUnderflow) as raised:
+            score_settings(Dataset(points), [Params(n_d=1.0, s_n=2), params])
+        assert raised.value.n_d == params.n_d
+
+    @pytest.mark.parametrize("path", ["tree", "brute"])
+    def test_sweep_names_the_first_setting_that_underflows(self, monkeypatch, path):
+        # The scene above: n_d = 1e-300 underflows only on the far point,
+        # in the last block, and 1e-320 on every row, so in the first block
+        # too. Both sweeps must name 1e-300, the first value that underflows
+        # on any row, not the first to underflow in the earliest block.
+        points = np.vstack([np.random.default_rng(33).uniform(size=(29, 2)), [1e10, 0.0]])
+        monkeypatch.setattr(fast, "_BLOCK", 7)
+        monkeypatch.setattr(fast, "_BRUTE_CELLS", 7 * len(points))
+        index_on(path, points, monkeypatch)
+        labeled = LabeledDataset(Dataset(points), np.arange(len(points)) == len(points) - 1)
+        for scorer in (score_all_fast, score_all_naive):
+            with pytest.raises(SimilarityUnderflow) as raised:
+                sweep(labeled, Params(n_d=1.0, s_n=2), "n_d", [1e-300, 1e-320], scorer)
+            assert raised.value.n_d == 1e-300
+        # The first setting precedes every other, so its underflow in the
+        # first block ends the pass there.
+        scored = []
+        row_scores = fast._row_scores
+        monkeypatch.setattr(fast, "_row_scores", lambda *a: scored.append(1) or row_scores(*a))
+        with pytest.raises(SimilarityUnderflow) as raised:
+            score_settings(labeled.data, [Params(n_d=1e-320, s_n=2), Params(n_d=1e-300, s_n=2)])
+        assert raised.value.n_d == 1e-320
+        assert len(scored) == 1
 
     @pytest.mark.parametrize("k", [1, 199])  # the nearest; every other point
     def test_pooled_pass_matches_serial(self, monkeypatch, k):
