@@ -28,17 +28,24 @@ of queries, is a contiguous run of the array, and a block's queries walk
 nearby nodes. The blocks are queried on a pool of one thread per CPU the
 process may use, each query on one thread, while the calling thread
 takes the results in block order; with one block or one CPU the calling
-thread queries them itself. The brute-force scan takes blocks in input
-order, one at a time (its matrix product already runs on BLAS's
-threads), sized so a block's estimates stay in a core's cache. It ranks
-a block against every point with one BLAS matrix product of the expanded
-squared distance, recomputes the few best candidates exactly, in cdist's
-order, and rescans against every point, in the same order, any row whose
-ranking rounding could have changed (the FAISS scheme, Johnson et al.
-2017). The candidates are picked in two stages: each row's estimates are
-cut into _SLICES equal slices, their element-wise minimum is the minimum
-of each group of strided columns (one per slice), and only the estimates
-of the groups with the smallest minima are partitioned. Each block's
+thread queries them itself. The brute-force scan takes contiguous blocks
+of input rows on the same pool, sized so the blocks in progress share
+one budget of estimates that stays near the cores' caches. Most of a
+block's work is numpy's single-threaded selection and exact
+recomputation, so while the pool runs numpy's OpenBLAS is held to one
+thread, whose threads would otherwise contend with the pool's, and its
+saved thread count is restored when the pass ends, however it ends.
+Where no OpenBLAS thread-count call is found, the calling thread takes
+the blocks one at a time, each product on BLAS's own threads. The scan
+ranks a block against every point with one BLAS matrix product of the
+expanded squared distance, recomputes the few best candidates exactly,
+in cdist's order, and rescans against every point, in the same order,
+any row whose ranking rounding could have changed (the FAISS scheme,
+Johnson et al. 2017). The candidates are picked in two stages: each
+row's estimates are cut into _SLICES equal slices, their element-wise
+minimum is the minimum of each group of strided columns (one per
+slice), and only the estimates of the groups with the smallest minima
+are partitioned. Each block's
 k + 1 nearest distances, minus column 0, are reduced as the calling
 thread takes the block. The reduction is asserted against the literal
 scorer by the test suite; `odac.naive` remains the independent oracle.
@@ -59,7 +66,11 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import ctypes
+import functools
+import glob
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -74,17 +85,26 @@ if TYPE_CHECKING:
 # kd-tree pruning degrades as dimensionality grows; past this width a
 # blocked brute-force scan is both simpler and faster.
 _TREE_MAX_DIM = 20
-# Cells per brute-force block. A block holds its (rows, q) float64
-# squared-distance estimates, 4 MiB, so the scan's memory stays flat as q
-# grows and the selection reads them mostly from a core's L2 (2 MiB on
-# the 2-core machine measured). On the 32-D, 10^4-point `score_highdim`
-# scene, k = 40, with one `np.argpartition` per row, a pass took 1.17-1.20 s
-# at 2^21 cells, 0.93-0.94 s at 2^19 and 0.96-1.01 s at 2^18. With the
-# group pre-selection (8 interleaved in-process runs on two scenes) it
-# took medians of 0.78-0.84, 0.71-0.73, 0.67-0.71 and 0.79-0.85 s at 2^18,
-# 2^19, 2^20 and 2^21. 2^20's medians were 3-6% lower, inside the runs'
-# spread, for twice the memory.
-_BRUTE_CELLS = 1 << 19
+# Cells in the brute-force blocks in progress at once, shared among the
+# pool's threads. A block holds its (rows, q) float64 squared-distance
+# estimates, so the scan's memory stays flat as q and the CPU count grow,
+# and each thread selects from estimates near a core's L2 (2 MiB on the
+# 2-core machine measured). On the 32-D, 10^4-point `score_highdim`
+# scene, k = 40, one block at a time with one `np.argpartition` per row,
+# a pass took 1.17-1.20 s at 2^21 cells, 0.93-0.94 s at 2^19 and
+# 0.96-1.01 s at 2^18. With the group pre-selection (8 interleaved
+# in-process runs on two scenes) it took medians of 0.78-0.84, 0.71-0.73,
+# 0.67-0.71 and 0.79-0.85 s at 2^18, 2^19, 2^20 and 2^21. On a pool of
+# 2 threads with OpenBLAS held to one, in-process passes took medians of
+# 0.42-0.45 s at 2^19 cells (2 MiB a thread), 0.37-0.42 s at 1.5 * 2^19
+# (3 MiB) and 0.36-0.37 s at 2^20 (4 MiB), against 0.51-0.58 s one block
+# at a time at 2^19 (2 sets of 5 runs). 2^20 peaked 3 MiB above
+# 1.5 * 2^19. In 7 interleaved benchmark runs each, `score_highdim` read
+# a median `wall_s` of 0.648 s at 2^19 and 0.587 s at 1.5 * 2^19, against
+# 0.746 s one block at a time, and a peak of 55.6-55.9 and 58.5-58.8 MiB,
+# against 55.9-56.6 MiB. 1.5 * 2^19 keeps most of the speed within 5% of
+# the memory.
+_BRUTE_CELLS = 3 << 18
 # Slices per row in the brute scan's pre-selection, so each group of
 # strided columns holds this many estimates. In the same runs at 2^19
 # cells, 4 and 16 slices took 0.78-0.81 s.
@@ -147,16 +167,19 @@ class NeighborIndex:
 
     def __init__(self, points: np.ndarray) -> None:
         self._exp = int(np.frexp(np.abs(points).max(initial=0.0))[1])
-        self._points = np.ldexp(points, -self._exp)
         if points.shape[1] <= _TREE_MAX_DIM:
-            # The points are held in the leaf order of a first build, and
-            # the tree is built again on them: its leaves are then
-            # contiguous runs of the array, and so is each query block.
-            # _order maps a position back to the input row.
+            # The points are held scaled, in the leaf order of a first
+            # build, and the tree is built again on them: its leaves are
+            # then contiguous runs of the array, and so is each query
+            # block. _order maps a position back to the input row.
+            self._points = np.ldexp(points, -self._exp)
             self._order = _sliding_midpoint(self._points).indices
             self._points = self._points[self._order]
             self._tree = _sliding_midpoint(self._points)
             return
+        # The brute scan keeps the caller's points and scales only the rows
+        # it gathers, so it holds no scaled copy of them.
+        self._points = np.asarray(points, dtype=np.float64)
         self._tree = self._order = None
         # The brute scan ranks candidates on points centred on their mean:
         # the expanded squared distance then rounds relative to the spread
@@ -167,9 +190,10 @@ class NeighborIndex:
         q = len(points)
         padded = q + -q % _SLICES
         self._centred = np.zeros((padded, points.shape[1]))
-        np.subtract(self._points, self._points.mean(axis=0), out=self._centred[:q])
+        centred = np.ldexp(points, -self._exp, out=self._centred[:q])
+        centred -= centred.mean(axis=0)
         self._norms = np.full(padded, np.inf)
-        np.einsum("ij,ij->i", self._centred[:q], self._centred[:q], out=self._norms[:q])
+        np.einsum("ij,ij->i", centred, centred, out=self._norms[:q])
         self._reach = self._norms[:q].max()
 
     @property
@@ -190,28 +214,41 @@ class NeighborIndex:
         interchangeable for any distance-based score, so no index
         tie-break is needed.
 
-        Both paths take row blocks. The brute scan takes blocks of input
-        rows, one at a time. The kd-tree takes contiguous slices of its
-        leaf-ordered points, queried by a pool of threads (one per CPU),
-        at most threads + 1 blocks held or in progress at once. Either
-        way the results are taken in block order in the calling thread,
-        which scales them, runs `reduce` and stores them in their input
-        rows. Every pool thread has ended when this returns or raises.
+        Both paths take contiguous row blocks, queried by a pool of
+        threads (one per CPU), at most threads + 1 blocks held or in
+        progress at once: the kd-tree slices its leaf-ordered points, the
+        brute scan its input rows. The brute scan is pooled only where it
+        can hold numpy's OpenBLAS to one thread while the pool runs, and
+        it restores the saved thread count when the pass ends, normally or
+        not; elsewhere it takes its blocks in the calling thread, each
+        matrix product on BLAS's own threads. Either way the results are
+        taken in block order in the calling thread, which scales them,
+        runs `reduce` and stores them in their input rows. Every pool
+        thread has ended when this returns or raises.
         """
         q = self._points.shape[0]
         if not 1 <= k <= q - 1:
             raise InvalidTopR(f"s_n = {k} but only {q - 1} other points exist")
         if self._tree is None:
-            # One block at a time: each block's matrix product already
-            # runs on BLAS's threads.
-            order, size = np.arange(q), max(1, _BRUTE_CELLS // q)
-            blocks = [order[start : start + size] for start in range(0, q, size)]
-            passes = (self._scan(block, k + 1) for block in blocks)
+            # Pooled only where OpenBLAS can be held to one thread: on its
+            # own threads the product contends with the pool's, and a pool
+            # so left ran slower than one block at a time.
+            blas = _openblas()
+            threads = 1 if blas is None else _cpus()
+            # The pool's blocks share one budget, so the estimates held at
+            # once do not grow with the number of CPUs.
+            size = max(1, _BRUTE_CELLS // (threads * q))
+            query = self._scan
         else:
-            blocks = [slice(start, start + _BLOCK) for start in range(0, q, _BLOCK)]
-            passes = _in_order(lambda block: self._query(block, k + 1), blocks, _cpus())
+            blas, threads, size = None, _cpus(), _BLOCK
+            query = self._query
+        # The brute scan's padded columns lie past q, so no block reaches them.
+        blocks = [slice(start, min(start + size, q)) for start in range(0, q, size)]
+        passes = _in_order(lambda block: query(block, k + 1), blocks, threads)
+        pooled = min(threads, len(blocks)) > 1
         out = None
-        with contextlib.closing(passes):
+        # The pool has ended before BLAS gets its threads back.
+        with _one_blas_thread(blas if pooled else None), contextlib.closing(passes):
             for block, dist in zip(blocks, passes):
                 # Each point is at distance 0 from itself, so column 0 is
                 # always a zero; dropping it leaves the k true neighbor
@@ -235,7 +272,7 @@ class NeighborIndex:
         """
         return self._tree.query(self._points[block], k=m, workers=1)[0]
 
-    def _scan(self, block: np.ndarray, m: int) -> np.ndarray:
+    def _scan(self, block: slice, m: int) -> np.ndarray:
         """Ascending distances from each block point to its m nearest points, by brute force.
 
         One matrix product ranks every point for the block by the expanded
@@ -248,15 +285,15 @@ class NeighborIndex:
         """
         q, n = self._points.shape
         width = min(m + _SPARE, q)
-        lead = self._centred[block]
-        lead *= -2.0  # exact; cheaper than scaling the (rows, q) product
+        lead = self._centred[block] * -2.0  # exact; cheaper than scaling the (rows, q) product
         approx = lead @ self._centred.T
         approx += self._norms
         cand = _smallest(approx, width)
-        cut = approx[np.arange(len(block)), cand[:, -1]]  # the width-th smallest
+        cut = np.take_along_axis(approx, cand[:, -1:], axis=1)[:, 0]  # the width-th smallest
         del approx
-        rows = self._points[block]
-        sq = _squared_distances(rows, self._points[cand])
+        rows = np.ldexp(self._points[block], -self._exp)
+        others = self._points[cand]
+        sq = _squared_distances(rows, np.ldexp(others, -self._exp, out=others))
         sq.partition(m - 1, axis=1)
         # A point outside the candidates has an estimate >= cut, so its
         # squared distance is at least cut + |a|^2 less the rounding of
@@ -271,7 +308,7 @@ class NeighborIndex:
         np.sqrt(nearest, out=nearest)
         nearest.sort(axis=1)
         if width < q and close.any():
-            nearest[close] = _nearest_exact(rows[close], self._points, m)
+            nearest[close] = _nearest_exact(rows[close], self._points, m, self._exp)
         return nearest
 
 
@@ -320,6 +357,59 @@ def _in_order(fn: Callable, items: list, threads: int) -> Iterator:
             yield ahead.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+# The get and set thread-count functions of a BLAS library.
+_BlasThreads = tuple[Callable[[], int], Callable[[int], None]]
+
+
+@functools.cache
+def _openblas() -> _BlasThreads | None:
+    """The get and set thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    Looked up once, in the library numpy's wheel ships beside its package;
+    None for any other BLAS (MKL, Accelerate, BLIS) or a build without it.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # not loadable here: treated as no OpenBLAS
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+# Held by a pass while numpy's OpenBLAS runs on one thread for it. The
+# thread count is the process's, so passes in other threads wait; a pass
+# nested in the same thread saves and restores the held count of one.
+_BLAS_HELD = threading.RLock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread(blas: _BlasThreads | None) -> Iterator[None]:
+    """Hold OpenBLAS, by its `_openblas` functions, to one thread inside the block.
+
+    The saved count is restored when the block ends, however it ends. With
+    None this does nothing.
+    """
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _BLAS_HELD:
+        saved = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(saved)
 
 
 def _smallest(approx: np.ndarray, width: int) -> np.ndarray:
@@ -376,16 +466,18 @@ def _squared_distances(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _nearest_exact(rows: np.ndarray, points: np.ndarray, m: int) -> np.ndarray:
+def _nearest_exact(rows: np.ndarray, points: np.ndarray, m: int, exp: int) -> np.ndarray:
     """Ascending distances from each row to its m nearest points, by a full scan.
 
-    The (rows, q) squares are summed one coordinate at a time, in cdist's
+    The points are scaled by 2**-exp as they are copied (exactly, as
+    `NeighborIndex` scales them); the rows are taken as they are. The
+    (rows, q) squares are summed one coordinate at a time, in cdist's
     order, as `_squared_distances` sums them, so the distances are
     cdist's bit for bit.
     """
     # Each coordinate contiguous: for 52 rows against 10^4 points in 32-D,
     # 42 ms against 145 ms for strided columns (cdist took 8-16 ms).
-    columns = points.T.copy()
+    columns = np.ldexp(points.T, -exp, out=np.empty(points.shape[::-1]))
     dist = np.zeros((len(rows), len(points)))
     diff = np.empty_like(dist)
     for row_j, column in zip(rows.T, columns):

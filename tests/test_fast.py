@@ -348,16 +348,17 @@ class TestBlockedPass:
 
     @pytest.fixture
     def scans(self, monkeypatch):
-        """Force the brute path at 100 cells per block and record every block's rows."""
+        """Force the brute path at 100 cells per block on one thread; record every block's rows."""
         calls = []
         scan = NeighborIndex._scan
 
         def recording_scan(index, block, m):
-            calls.append(len(block))
+            calls.append(block.stop - block.start)
             return scan(index, block, m)
 
         monkeypatch.setattr(fast, "_TREE_MAX_DIM", 0)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 100)
+        monkeypatch.setattr(fast, "_cpus", lambda: 1)
         monkeypatch.setattr(NeighborIndex, "_scan", recording_scan)
         return calls
 
@@ -366,9 +367,9 @@ class TestBlockedPass:
         """Force the brute path and record the rows of every exact rescan."""
         calls = []
 
-        def recording_rescan(rows, points, m):
+        def recording_rescan(rows, points, m, exp):
             calls.append(len(rows))
-            return nearest_exact(rows, points, m)
+            return nearest_exact(rows, points, m, exp)
 
         nearest_exact = fast._nearest_exact
         monkeypatch.setattr(fast, "_TREE_MAX_DIM", 0)
@@ -468,12 +469,15 @@ class TestBlockedPass:
         scales=st.sampled_from(["offset", "mixed"]),
         q=st.integers(2, 80),
         seed=st.integers(0, 2**32 - 1),
+        exp=st.sampled_from([0, 5, -300]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_rescan_is_cdist_bit_for_bit(self, dim, scales, q, seed):
+    def test_rescan_is_cdist_bit_for_bit(self, dim, scales, q, seed, exp):
         # Random differences round differently in another summation order,
         # so these catch a change of order where the unit vectors, whose
-        # squares are exact, cannot.
+        # squares are exact, cannot. The rescan scales the points by
+        # 2**-exp as it copies them, exactly, so points held at 2**exp
+        # times the rows' scale give the same bits.
         rng = np.random.default_rng(seed)
         points = rng.uniform(-1.0, 1.0, size=(q, dim))
         if scales == "offset":
@@ -484,7 +488,7 @@ class TestBlockedPass:
         rows = points[rng.integers(0, q, size=rng.integers(1, 9))]
         m = int(rng.integers(1, q + 1))
         expected = np.sort(cdist(rows, points), axis=1)[:, :m]
-        assert np.array_equal(fast._nearest_exact(rows, points, m), expected)
+        assert np.array_equal(fast._nearest_exact(rows, np.ldexp(points, exp), m, exp), expected)
 
     def test_translated_scene_is_exact_without_rescan(self, rescans, monkeypatch):
         # Centring keeps the expanded formula's rounding at the scale of the
@@ -625,6 +629,126 @@ class TestBlockedPass:
             [5.0, 5.0, 5.0],
             [3.0, 3.0, 3.0],
         ]
+
+
+# numpy's bundled OpenBLAS thread-count functions; the brute scan is pooled
+# only where they are found.
+OPENBLAS = fast._openblas()
+needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy does not ship OpenBLAS here")
+
+
+class TestPooledBruteScan:
+    """The brute scan's blocks on the pool, with OpenBLAS held to one thread."""
+
+    @pytest.fixture
+    def callers(self, monkeypatch):
+        """Force the brute path; record the thread of every block's scan and rescan."""
+        calls = {"scan": set(), "rescan": set()}
+        scan = NeighborIndex._scan
+        nearest_exact = fast._nearest_exact
+
+        def recording_scan(index, block, m):
+            calls["scan"].add(threading.get_ident())
+            return scan(index, block, m)
+
+        def recording_rescan(rows, points, m, exp):
+            calls["rescan"].add(threading.get_ident())
+            return nearest_exact(rows, points, m, exp)
+
+        monkeypatch.setattr(fast, "_TREE_MAX_DIM", 0)
+        monkeypatch.setattr(NeighborIndex, "_scan", recording_scan)
+        monkeypatch.setattr(fast, "_nearest_exact", recording_rescan)
+        return calls
+
+    @staticmethod
+    def scene(name):
+        if name == "datagen":  # blocks of 196 rows on 2 threads, the last one of 40
+            spec = SyntheticSpec(dim=32, normal_count=1990, anomaly_count=10, seed=32)
+            return generate(spec).data.points
+        if name == "binary":  # ties at every cut: about 2,300 rows are rescanned
+            return np.random.default_rng(0).integers(0, 2, size=(4000, 32)).astype(float)
+        # 61 points, so the last of the 4-row blocks below holds one row.
+        return np.random.default_rng(61).uniform(-1.0, 1.0, size=(61, 32))
+
+    def passes(self, points, k):
+        """The pass's distances and its scores at n_d = 0.5."""
+        scores = score_all_fast(Dataset(points), Params(n_d=0.5, s_n=k)).scores
+        return NeighborIndex(points).distances_all(k), scores
+
+    @needs_openblas
+    @pytest.mark.parametrize(
+        "name, k", [("datagen", 40), ("binary", 40), ("short", 5), ("short", 60)]  # k = q - 1 last
+    )
+    def test_pooled_scan_matches_one_thread(self, callers, monkeypatch, name, k):
+        points = self.scene(name)
+        if name == "short":
+            monkeypatch.setattr(fast, "_BRUTE_CELLS", 2 * 4 * len(points))
+        results = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(fast, "_cpus", lambda: cpus)
+            callers["scan"].clear()
+            callers["rescan"].clear()
+            results[cpus] = self.passes(points, k)
+            assert (callers["scan"] == {threading.get_ident()}) == (cpus == 1)
+            if name == "binary":  # the rescans ran where their blocks did
+                assert callers["rescan"] == callers["scan"]
+        for serial, pooled in zip(results[1], results[2]):
+            assert np.array_equal(serial, pooled)
+
+    def test_without_openblas_the_scan_runs_in_the_calling_thread(self, callers, monkeypatch):
+        points = self.scene("datagen")
+        monkeypatch.setattr(fast, "_cpus", lambda: 2)
+        pooled = self.passes(points, 40)
+        monkeypatch.setattr(fast, "_openblas", lambda: None)
+        callers["scan"].clear()
+        serial = self.passes(points, 40)
+        assert callers["scan"] == {threading.get_ident()}
+        for a, b in zip(serial, pooled):
+            assert np.array_equal(a, b)
+
+    @needs_openblas
+    @pytest.mark.parametrize("ending", ["returns", "underflow", "scan_fails"])
+    def test_blas_thread_count_is_restored(self, monkeypatch, ending):
+        # 60 points in blocks of 10 rows on 2 threads. The pass ends
+        # normally; with SimilarityUnderflow, which n_d = 1e-320 raises in
+        # the first block; or with an error from a pool thread, which ends
+        # the pass's generator early. Each way OpenBLAS must have run on one
+        # thread and got its count back, and no pool thread be left.
+        get, set_ = OPENBLAS
+        points = np.random.default_rng(60).uniform(-1.0, 1.0, size=(60, 32))
+        counts, scored = [], []
+        scan, row_scores = NeighborIndex._scan, fast._row_scores
+
+        def recording_scan(index, block, m):
+            counts.append(get())
+            if ending == "scan_fails" and block.start >= 20:
+                raise RuntimeError("scan failed")
+            return scan(index, block, m)
+
+        monkeypatch.setattr(fast, "_TREE_MAX_DIM", 0)
+        monkeypatch.setattr(fast, "_BRUTE_CELLS", 2 * 10 * len(points))
+        monkeypatch.setattr(fast, "_cpus", lambda: 2)
+        monkeypatch.setattr(NeighborIndex, "_scan", recording_scan)
+        monkeypatch.setattr(fast, "_row_scores", lambda *a: scored.append(1) or row_scores(*a))
+        saved = get()
+        threads = threading.active_count()
+        set_(2)  # not 1, so the hold shows
+        try:
+            if ending == "returns":
+                score_all_fast(Dataset(points), Params(n_d=1.0, s_n=5))
+                assert len(scored) == 6
+            elif ending == "underflow":
+                with pytest.raises(SimilarityUnderflow):
+                    score_all_fast(Dataset(points), Params(n_d=1e-320, s_n=5))
+                assert len(scored) == 1
+            else:
+                with pytest.raises(RuntimeError, match="scan failed"):
+                    NeighborIndex(points).distances_all(5)
+            assert get() == 2
+        finally:
+            set_(saved)
+        assert counts and set(counts) == {1}
+        assert threading.active_count() == threads
 
 
 def test_score_all_fast_never_holds_the_distance_array():
