@@ -16,43 +16,52 @@ and only the (q, settings) scores are kept, never the distances.
 `score_all_fast` is the one-setting case; `evaluate.sweep` tunes n_d and
 s_n with the list.
 
-One loop over row blocks serves both index paths. The kd-tree is a
-sliding-midpoint tree (Maneewongvatana & Mount 1999) with leaves of up
-to _LEAF points: each cell is split at the midpoint of its widest side,
-the cut sliding to the nearest point when one side would be empty. On
-clustered data that prunes far more than a median split, and the
-distances are the same bits, since the shape only decides which pairs a
-query visits. The index holds the points in the leaf order of a first
-build and builds the tree again on them, so every leaf, and every block
-of queries, is a contiguous run of the array, and a block's queries walk
-nearby nodes. The blocks are queried on a pool of one thread per CPU the
-process may use, each query on one thread, while the calling thread
-takes the results in block order; with one block or one CPU the calling
-thread queries them itself. The brute-force scan takes contiguous blocks
-of input rows on the same pool, sized so the blocks in progress share
-one budget of estimates that stays near the cores' caches. Most of a
-block's work is numpy's single-threaded selection and exact
-recomputation, so while the pool runs numpy's OpenBLAS is held to one
-thread, whose threads would otherwise contend with the pool's, and its
-saved thread count is restored when the pass ends, however it ends.
-Where no OpenBLAS thread-count call is found, the calling thread takes
-the blocks one at a time, each product on BLAS's own threads. The scan
-ranks a block against every point with one BLAS matrix product of the
-expanded squared distance, recomputes the few best candidates exactly,
-in cdist's order, and rescans against every point, in the same order,
-any row whose ranking rounding could have changed (the FAISS scheme,
-Johnson et al. 2017). The candidates are picked in two stages: each
-row's estimates are cut into _SLICES equal slices, their element-wise
-minimum is the minimum of each group of strided columns (one per
-slice), and only the estimates of the groups with the smallest minima
-are partitioned. Each block's
-k + 1 nearest distances, minus column 0, are reduced as the calling
-thread takes the block. The reduction is asserted against the literal
-scorer by the test suite; `odac.naive` remains the independent oracle.
+One loop over row blocks, `NeighborIndex.distances_all`, serves both
+index paths, and `NeighborIndex(points)` chooses the path from the
+dimension: a `_TreeIndex` up to _TREE_MAX_DIM, a `_BruteIndex` past it.
+Each path's class owns its build (`_build`), its plan (`_plan`: the BLAS
+to hold to one thread, the threads, the rows per block), its per-block
+query (`_query`) and its row order (`_rows`, the input rows of a block).
+
+`_TreeIndex` is a sliding-midpoint kd-tree (Maneewongvatana & Mount
+1999) with leaves of up to _LEAF points: each cell is split at the
+midpoint of its widest side, the cut sliding to the nearest point when
+one side would be empty. On clustered data that prunes far more than a
+median split, and the distances are the same bits, since the shape only
+decides which pairs a query visits. The index holds the points in the
+leaf order of a first build and builds the tree again on them, so every
+leaf, and every block of queries, is a contiguous run of the array, and
+a block's queries walk nearby nodes. The blocks are queried on a pool of
+one thread per CPU the process may use, each query on one thread, while
+the calling thread takes the results in block order; with one block or
+one CPU the calling thread queries them itself.
+
+`_BruteIndex` takes contiguous blocks of input rows on the same pool,
+sized so the blocks in progress share one budget of estimates that stays
+near the cores' caches. Most of a block's work is numpy's
+single-threaded selection and exact recomputation, so while the pool
+runs numpy's OpenBLAS is held to one thread, whose threads would
+otherwise contend with the pool's, and its saved thread count is
+restored when the pass ends, however it ends. Where no OpenBLAS
+thread-count call is found, the calling thread takes the blocks one at a
+time, each product on BLAS's own threads. The scan ranks a block against
+every point with one BLAS matrix product of the expanded squared
+distance, recomputes the few best candidates exactly, in cdist's order,
+and rescans against every point, in the same order, any row whose
+ranking rounding could have changed (the FAISS scheme, Johnson et al.
+2017). The candidates are picked in two stages: each row's estimates are
+cut into _SLICES equal slices, their element-wise minimum is the minimum
+of each group of strided columns (one per slice), and only the estimates
+of the groups with the smallest minima are partitioned.
+
+On either path each block's k + 1 nearest distances, minus column 0,
+are reduced as the calling thread takes the block. The reduction is
+asserted against the literal scorer by the test suite; `odac.naive`
+remains the independent oracle.
 
 Only the kd-tree needs scipy, so the brute-force path runs on numpy
 alone and this module imports no scipy. `scipy.spatial` is imported when
-`NeighborIndex` first builds a tree, before the pass allocates its
+`_TreeIndex` first builds a tree, before the pass allocates its
 blocks; a process that only takes the brute path never loads it. Every
 other module a pass uses, the thread pool's included, is imported when
 this module is: an import inside a pass would load it after the pass has
@@ -72,15 +81,12 @@ import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvalidTopR, SimilarityUnderflow
 from .types import Dataset, Params, ScoreReport, validate_dataset
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 # kd-tree pruning degrades as dimensionality grows; past this width a
 # blocked brute-force scan is both simpler and faster.
@@ -157,6 +163,15 @@ def similarity_from_distance(d, n_d: float):
 class NeighborIndex:
     """Immutable exact k-NN index over the original n-dimensional points.
 
+    `NeighborIndex(points)` returns a `_TreeIndex` up to _TREE_MAX_DIM
+    dimensions and a `_BruteIndex` past them; this is the one place the
+    path is chosen, and a path's class builds that path whatever the
+    dimension. The base class finds the scaling exponent and runs the one
+    block loop, `distances_all`. Each path supplies its `method` name,
+    its build (`_build`), its plan (`_plan`: the BLAS to hold, the
+    threads, the rows per block), its per-block query (`_query`) and the
+    input rows of a block (`_rows`).
+
     The kd-tree and the brute-force scan square coordinate differences,
     which overflow past about 1e154 and go subnormal below about 1e-154.
     So the index holds the points scaled by the power of two 2**-e that
@@ -165,40 +180,16 @@ class NeighborIndex:
     unchanged bit for bit.
     """
 
+    method: str  # "tree" or "brute", set by the path's class
+
+    def __new__(cls, points: np.ndarray) -> NeighborIndex:
+        if cls is NeighborIndex:
+            cls = _TreeIndex if points.shape[1] <= _TREE_MAX_DIM else _BruteIndex
+        return super().__new__(cls)
+
     def __init__(self, points: np.ndarray) -> None:
         self._exp = int(np.frexp(np.abs(points).max(initial=0.0))[1])
-        if points.shape[1] <= _TREE_MAX_DIM:
-            # The points are held scaled, in the leaf order of a first
-            # build, and the tree is built again on them: its leaves are
-            # then contiguous runs of the array, and so is each query
-            # block. _order maps a position back to the input row.
-            self._points = np.ldexp(points, -self._exp)
-            self._order = _sliding_midpoint(self._points).indices
-            self._points = self._points[self._order]
-            self._tree = _sliding_midpoint(self._points)
-            return
-        # The brute scan keeps the caller's points and scales only the rows
-        # it gathers, so it holds no scaled copy of them.
-        self._points = np.asarray(points, dtype=np.float64)
-        self._tree = self._order = None
-        # The brute scan ranks candidates on points centred on their mean:
-        # the expanded squared distance then rounds relative to the spread
-        # of the data, not to its offset from the origin. The columns are
-        # padded to a multiple of _SLICES with zero rows of infinite norm,
-        # whose estimates are inf and so never become candidates. _reach,
-        # the largest squared norm of a real point, bounds the rounding.
-        q = len(points)
-        padded = q + -q % _SLICES
-        self._centred = np.zeros((padded, points.shape[1]))
-        centred = np.ldexp(points, -self._exp, out=self._centred[:q])
-        centred -= centred.mean(axis=0)
-        self._norms = np.full(padded, np.inf)
-        np.einsum("ij,ij->i", centred, centred, out=self._norms[:q])
-        self._reach = self._norms[:q].max()
-
-    @property
-    def method(self) -> str:
-        return "brute" if self._tree is None else "tree"
+        self._build(points)
 
     def distances_all(
         self, k: int, reduce: Callable[[np.ndarray], np.ndarray] | None = None
@@ -214,14 +205,19 @@ class NeighborIndex:
         interchangeable for any distance-based score, so no index
         tie-break is needed.
 
-        Both paths take contiguous row blocks, queried by a pool of
-        threads (one per CPU), at most threads + 1 blocks held or in
-        progress at once: the kd-tree slices its leaf-ordered points, the
-        brute scan its input rows. The brute scan is pooled only where it
-        can hold numpy's OpenBLAS to one thread while the pool runs, and
-        it restores the saved thread count when the pass ends, normally or
-        not; elsewhere it takes its blocks in the calling thread, each
-        matrix product on BLAS's own threads. Either way the results are
+        This loop is the same for both paths; the index's class owns the
+        rest. Its `_build` made the points the blocks are contiguous runs
+        of: `_TreeIndex` holds them in leaf order, `_BruteIndex` in input
+        order. Its `_plan` gives the BLAS to hold to one thread while the
+        pool runs, the threads and the rows per block: the kd-tree holds
+        no BLAS and takes _BLOCK rows on one thread per CPU; the brute
+        scan holds numpy's OpenBLAS where it can, on one thread per CPU,
+        with blocks that share _BRUTE_CELLS, and elsewhere takes its
+        blocks in the calling thread, each matrix product on BLAS's own
+        threads. A held thread count is restored when the pass ends,
+        normally or not. Its `_query` computes a block on one pool
+        thread, at most threads + 1 blocks held or in progress at once,
+        and its `_rows` maps the block to its input rows. The results are
         taken in block order in the calling thread, which scales them,
         runs `reduce` and stores them in their input rows. Every pool
         thread has ended when this returns or raises.
@@ -229,22 +225,10 @@ class NeighborIndex:
         q = self._points.shape[0]
         if not 1 <= k <= q - 1:
             raise InvalidTopR(f"s_n = {k} but only {q - 1} other points exist")
-        if self._tree is None:
-            # Pooled only where OpenBLAS can be held to one thread: on its
-            # own threads the product contends with the pool's, and a pool
-            # so left ran slower than one block at a time.
-            blas = _openblas()
-            threads = 1 if blas is None else _cpus()
-            # The pool's blocks share one budget, so the estimates held at
-            # once do not grow with the number of CPUs.
-            size = max(1, _BRUTE_CELLS // (threads * q))
-            query = self._scan
-        else:
-            blas, threads, size = None, _cpus(), _BLOCK
-            query = self._query
+        blas, threads, size = self._plan(q)
         # The brute scan's padded columns lie past q, so no block reaches them.
         blocks = [slice(start, min(start + size, q)) for start in range(0, q, size)]
-        passes = _in_order(lambda block: query(block, k + 1), blocks, threads)
+        passes = _in_order(lambda block: self._query(block, k + 1), blocks, threads)
         pooled = min(threads, len(blocks)) > 1
         out = None
         # The pool has ended before BLAS gets its threads back.
@@ -256,14 +240,40 @@ class NeighborIndex:
                 # underflow, may stand in for self at the same 0).
                 dist = dist[:, 1:]
                 np.ldexp(dist, self._exp, out=dist)
-                rows = block if self._order is None else self._order[block]
                 value = dist if reduce is None else reduce(dist)
                 if out is None:
                     out = np.empty((q,) + value.shape[1:])
-                out[rows] = value
+                out[self._rows(block)] = value
                 # Dropped before the next block's result is taken.
                 del dist, value
         return out
+
+
+class _TreeIndex(NeighborIndex):
+    """The sliding-midpoint kd-tree path, queried on one thread per CPU."""
+
+    method = "tree"
+
+    def _build(self, points: np.ndarray) -> None:
+        """Hold the points scaled, in the leaf order of a first tree, and build the tree again.
+
+        Both are sliding-midpoint trees with leaves of up to _LEAF points.
+        The second tree's leaves are contiguous runs of the held array, and
+        so is each query block. scipy is imported here, at the first tree
+        build, so the brute-force path never loads it.
+        """
+        from scipy.spatial import cKDTree
+
+        tree = functools.partial(cKDTree, leafsize=_LEAF, balanced_tree=False)
+        self._points = np.ldexp(points, -self._exp)
+        # _order maps a position back to the input row.
+        self._order = tree(self._points).indices
+        self._points = self._points[self._order]
+        self._tree = tree(self._points)
+
+    def _plan(self, q: int) -> tuple[_BlasThreads | None, int, int]:
+        """No BLAS held; one thread per CPU, each query on one thread; _BLOCK rows a block."""
+        return None, _cpus(), _BLOCK
 
     def _query(self, block: slice, m: int) -> np.ndarray:
         """Ascending distances from a slice of the points to their m nearest points, by kd-tree.
@@ -272,7 +282,52 @@ class NeighborIndex:
         """
         return self._tree.query(self._points[block], k=m, workers=1)[0]
 
-    def _scan(self, block: slice, m: int) -> np.ndarray:
+    def _rows(self, block: slice) -> np.ndarray:
+        """The input rows of a slice of the leaf-ordered points."""
+        return self._order[block]
+
+
+class _BruteIndex(NeighborIndex):
+    """The blocked brute-force scan, for points past _TREE_MAX_DIM dimensions."""
+
+    method = "brute"
+
+    def _build(self, points: np.ndarray) -> None:
+        """Keep the caller's points, and the centred, scaled, padded copy that ranks them.
+
+        The scan scales only the rows it gathers, so it holds no scaled
+        copy of the points. It ranks candidates on points centred on their
+        mean: the expanded squared distance then rounds relative to the
+        spread of the data, not to its offset from the origin. The columns
+        are padded to a multiple of _SLICES with zero rows of infinite
+        norm, whose estimates are inf and so never become candidates.
+        _reach, the largest squared norm of a real point, bounds the
+        rounding.
+        """
+        self._points = np.asarray(points, dtype=np.float64)
+        q = len(points)
+        padded = q + -q % _SLICES
+        self._centred = np.zeros((padded, points.shape[1]))
+        centred = np.ldexp(points, -self._exp, out=self._centred[:q])
+        centred -= centred.mean(axis=0)
+        self._norms = np.full(padded, np.inf)
+        np.einsum("ij,ij->i", centred, centred, out=self._norms[:q])
+        self._reach = self._norms[:q].max()
+
+    def _plan(self, q: int) -> tuple[_BlasThreads | None, int, int]:
+        """OpenBLAS held and one thread per CPU, or neither; rows sharing _BRUTE_CELLS.
+
+        Pooled only where OpenBLAS can be held to one thread: on its own
+        threads the product contends with the pool's, and a pool so left
+        ran slower than one block at a time. The pool's blocks share one
+        budget, so the estimates held at once do not grow with the
+        number of CPUs.
+        """
+        blas = _openblas()
+        threads = 1 if blas is None else _cpus()
+        return blas, threads, max(1, _BRUTE_CELLS // (threads * q))
+
+    def _query(self, block: slice, m: int) -> np.ndarray:
         """Ascending distances from each block point to its m nearest points, by brute force.
 
         One matrix product ranks every point for the block by the expanded
@@ -311,16 +366,9 @@ class NeighborIndex:
             nearest[close] = _nearest_exact(rows[close], self._points, m, self._exp)
         return nearest
 
-
-def _sliding_midpoint(points: np.ndarray) -> cKDTree:
-    """A sliding-midpoint kd-tree over `points`, with leaves of up to _LEAF points.
-
-    scipy is imported here, at the first tree build, so the brute-force
-    path never loads it.
-    """
-    from scipy.spatial import cKDTree
-
-    return cKDTree(points, leafsize=_LEAF, balanced_tree=False)
+    def _rows(self, block: slice) -> slice:
+        """The input rows of a block: the brute scan takes them in input order."""
+        return block
 
 
 def _cpus() -> int:

@@ -49,20 +49,38 @@ def preprocess(
 ) -> Dataset:
     """Min-max normalize per column (optional), then multiply by scale.
 
-    Constant columns map to all zeros rather than dividing by zero. The
-    default scale of 300 stretches normalized data to [0, 300], a range
-    the default n_d = 80 suits.
+    Constant columns map to all zeros rather than dividing by zero. A
+    column whose span overflows (say, -1e308 to 1e308) is halved first:
+    both halvings are exact, so its quotients are the bits of an exact
+    span, and no other column changes. The default scale of 300 stretches
+    normalized data to [0, 300], a range the default n_d = 80 suits.
+
+    Raises:
+        ValueError: `scale` is not finite and > 0, or it takes a point
+            past the largest double.
     """
     if not scale > 0:
         raise ValueError(f"scale must be > 0, got {scale}")
+    if scale == np.inf:
+        raise ValueError(f"scale must be finite, got {scale}")
     validate_dataset(data)
     pts = data.points
     if normalize:
         lo = pts.min(axis=0)
-        span = pts.max(axis=0) - lo
+        with np.errstate(over="ignore"):
+            span = pts.max(axis=0) - lo
+        wide = np.isinf(span)
+        if wide.any():
+            pts = pts * np.where(wide, 0.5, 1.0)
+            lo = pts.min(axis=0)
+            span = pts.max(axis=0) - lo
         safe = np.where(span > 0, span, 1.0)
         pts = np.where(span > 0, (pts - lo) / safe, 0.0)
-    return Dataset(pts * scale)
+    with np.errstate(over="ignore"):
+        pts = pts * scale
+    if np.isinf(pts).any():
+        raise ValueError(f"scale = {scale} takes a point past the largest double")
+    return Dataset(pts)
 
 
 @contextlib.contextmanager

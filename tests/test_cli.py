@@ -1,3 +1,4 @@
+import pytest
 
 from odac.cli import main
 
@@ -123,6 +124,31 @@ def test_score_rejects_oversized_sn(tmp_path):
     code = main(["score", "--in", str(scene), "--header", "--label-col",
                  "label", "--nd", "5", "--sn", "100"])
     assert code == 1  # depends on the data, so a data error
+
+
+@pytest.mark.parametrize(
+    "scale, message",
+    [
+        ("inf", "odac score: scale must be finite, got inf\n"),
+        ("1e308", "odac score: scale = 1e+308 takes a point past the largest double\n"),
+    ],
+)
+def test_score_rejects_overflowing_scale(tmp_path, capsys, scale, message):
+    # Finite cells of magnitude 4: the flag is at fault, not a cell.
+    data = tmp_path / "small.csv"
+    data.write_text("1,2\n3,4\n-4,0\n")
+    code = main(["score", "--in", str(data), "--scale", scale, "--sn", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == message
+
+
+def test_score_normalizes_an_overflowing_span(tmp_path, capsys):
+    # max - min of column a overflows; its cells are all finite.
+    data = tmp_path / "wide.csv"
+    data.write_text("a,b\n-1e308,1\n1e308,2\n0,3\n5e-324,4\n")
+    code = main(["score", "--in", str(data), "--header", "--normalize", "--sn", "1"])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
 
 
 def test_score_undecodable_input_is_a_data_error(tmp_path, capsys):

@@ -44,8 +44,22 @@ def test_transform_decreasing():
     assert np.all((s > 0) & (s <= 1))
 
 
-def index_on(path, points, monkeypatch):
-    """A NeighborIndex forced onto the "tree" or the "brute" path."""
+PATH_INDEX = {"tree": fast._TreeIndex, "brute": fast._BruteIndex}
+
+
+def index_on(path, points):
+    """An index built on the "tree" or the "brute" path, by that path's class."""
+    index = PATH_INDEX[path](points)
+    assert index.method == path
+    return index
+
+
+def scorers_on(path, points, monkeypatch):
+    """A NeighborIndex forced onto `path` by moving the switch point.
+
+    Every `NeighborIndex` the test builds then takes that path, the
+    scorers' own included.
+    """
     monkeypatch.setattr(fast, "_TREE_MAX_DIM", points.shape[1] if path == "tree" else 0)
     index = NeighborIndex(points)
     assert index.method == path
@@ -59,53 +73,56 @@ class TestNeighborIndex:
             [1.0, 3.0], [1.0, 2.0], [2.0, 3.0],
         ]
 
-    def test_all_others_for_full_k(self, monkeypatch):
+    def test_all_others_for_full_k(self):
         rng = np.random.default_rng(21)
         points = random_dataset(rng, 9, 3).points
         pairwise = np.linalg.norm(points[:, None] - points[None], axis=2)
         expected = np.sort(pairwise, axis=1)[:, 1:]  # column 0 is self
         for path in ("tree", "brute"):
-            got = index_on(path, points, monkeypatch).distances_all(8)
+            got = index_on(path, points).distances_all(8)
             np.testing.assert_allclose(got, expected, rtol=1e-12)
 
-    def test_tied_distances(self, monkeypatch):
+    def test_tied_distances(self):
         # Four points at distance exactly 1 from the origin point.
         pts = np.array([[0.0, 0], [0, 1], [1, 0], [0, -1], [-1, 0], [5, 5]])
         for path in ("tree", "brute"):
-            dist = index_on(path, pts, monkeypatch).distances_all(2)
+            dist = index_on(path, pts).distances_all(2)
             assert dist[0].tolist() == [1.0, 1.0]
 
-    def test_duplicate_twin_is_a_neighbor_but_self_is_not(self, monkeypatch):
+    def test_duplicate_twin_is_a_neighbor_but_self_is_not(self):
         pts = np.array([[2.0, 2.0], [2.0, 2.0], [9.0, 9.0], [2.0, 2.0]])
         for path in ("tree", "brute"):
-            dist = index_on(path, pts, monkeypatch).distances_all(3)
+            dist = index_on(path, pts).distances_all(3)
             assert dist[1].tolist() == [0.0, 0.0, 7.0 * np.sqrt(2.0)]
             assert dist[2, 0] == 7.0 * np.sqrt(2.0)
 
-    def test_tree_and_brute_agree(self, monkeypatch):
+    def test_tree_and_brute_agree(self):
         rng = np.random.default_rng(22)
         points = random_dataset(rng, 80, 4).points
         np.testing.assert_allclose(
-            index_on("tree", points, monkeypatch).distances_all(11),
-            index_on("brute", points, monkeypatch).distances_all(11),
+            index_on("tree", points).distances_all(11),
+            index_on("brute", points).distances_all(11),
             rtol=1e-12,
         )
 
-    def test_brute_blocks_agree_with_tree(self, monkeypatch):
+    def test_brute_blocks_agree_with_tree(self):
         rng = np.random.default_rng(28)
         q = 3000
         assert fast._BRUTE_CELLS // q < q  # several blocks, the last one short
         points = random_dataset(rng, q, 4).points
         np.testing.assert_allclose(
-            index_on("brute", points, monkeypatch).distances_all(7),
-            index_on("tree", points, monkeypatch).distances_all(7),
+            index_on("brute", points).distances_all(7),
+            index_on("tree", points).distances_all(7),
             rtol=1e-12,
         )
 
     def test_high_dimension_selects_brute(self):
+        # 20-D is the widest the tree takes, 21-D the narrowest the brute scan does.
         rng = np.random.default_rng(23)
-        assert NeighborIndex(random_dataset(rng, 10, 25).points).method == "brute"
-        assert NeighborIndex(random_dataset(rng, 10, 4).points).method == "tree"
+        for dim, path in ((25, "brute"), (4, "tree"), (21, "brute"), (20, "tree")):
+            index = NeighborIndex(random_dataset(rng, 10, dim).points)
+            assert index.method == path
+            assert type(index) is PATH_INDEX[path]
 
     def test_capacity(self):
         rng = np.random.default_rng(24)
@@ -113,11 +130,11 @@ class TestNeighborIndex:
         assert dist.shape == (10_000, 5)
         assert np.all(np.diff(dist, axis=1) >= 0)
 
-    def test_k_out_of_range(self, monkeypatch):
+    def test_k_out_of_range(self):
         rng = np.random.default_rng(25)
         points = random_dataset(rng, 6, 2).points
         for path in ("tree", "brute"):
-            index = index_on(path, points, monkeypatch)
+            index = index_on(path, points)
             for k in (0, 6):
                 with pytest.raises(InvalidTopR):
                     index.distances_all(k)
@@ -257,7 +274,7 @@ def test_extreme_coordinate_scales(scale_exp, nd_exp, dim, seed, twins, shift):
         assert np.array_equal(scaled.scores, report.scores)
 
 
-class TestScoresFromDistances:
+class TestScoreSettings:
     def test_prefixes_match_score_all_fast(self):
         # One pass at s_n = 30 scores every setting from prefixes of the
         # same rows, with the bits of a pass per setting. q = 1,000 in
@@ -335,7 +352,7 @@ class TestBlockedPass:
     def queries(self, monkeypatch):
         """Shrink the tree blocks to 7 rows and record every query's size."""
         calls = []
-        query = NeighborIndex._query
+        query = fast._TreeIndex._query
 
         def recording_query(index, block, m):
             dist = query(index, block, m)
@@ -343,28 +360,27 @@ class TestBlockedPass:
             return dist
 
         monkeypatch.setattr(fast, "_BLOCK", 7)
-        monkeypatch.setattr(NeighborIndex, "_query", recording_query)
+        monkeypatch.setattr(fast._TreeIndex, "_query", recording_query)
         return calls
 
     @pytest.fixture
     def scans(self, monkeypatch):
-        """Force the brute path at 100 cells per block on one thread; record every block's rows."""
+        """Brute blocks of 100 cells on one thread; record every block's rows."""
         calls = []
-        scan = NeighborIndex._scan
+        scan = fast._BruteIndex._query
 
         def recording_scan(index, block, m):
             calls.append(block.stop - block.start)
             return scan(index, block, m)
 
-        monkeypatch.setattr(fast, "_TREE_MAX_DIM", 0)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 100)
         monkeypatch.setattr(fast, "_cpus", lambda: 1)
-        monkeypatch.setattr(NeighborIndex, "_scan", recording_scan)
+        monkeypatch.setattr(fast._BruteIndex, "_query", recording_scan)
         return calls
 
     @pytest.fixture
     def rescans(self, monkeypatch):
-        """Force the brute path and record the rows of every exact rescan."""
+        """Record the rows of every exact rescan."""
         calls = []
 
         def recording_rescan(rows, points, m, exp):
@@ -372,7 +388,6 @@ class TestBlockedPass:
             return nearest_exact(rows, points, m, exp)
 
         nearest_exact = fast._nearest_exact
-        monkeypatch.setattr(fast, "_TREE_MAX_DIM", 0)
         monkeypatch.setattr(fast, "_nearest_exact", recording_rescan)
         return calls
 
@@ -450,7 +465,7 @@ class TestBlockedPass:
         k = min(5, q - 1)
         for points in (self.points_with_twin(q), self.points_in_two_classes(q, k)):
             reference = self.sorted_cdist(points, k)
-            assert np.array_equal(NeighborIndex(points).distances_all(k), reference)
+            assert np.array_equal(fast._BruteIndex(points).distances_all(k), reference)
         assert sum(scans) == 2 * q
         assert max(scans) == min(q, max(1, fast._BRUTE_CELLS // q))
 
@@ -460,7 +475,7 @@ class TestBlockedPass:
         # sqrt(2). So every row's 6th nearest ties its 14th candidate, and
         # all 25 rows are rescanned in one batch.
         points = np.vstack([np.zeros(24), np.eye(24)])
-        dist = NeighborIndex(points).distances_all(5)
+        dist = fast._BruteIndex(points).distances_all(5)
         assert np.array_equal(dist, self.sorted_cdist(points, 5))
         assert rescans == [25]
 
@@ -495,7 +510,7 @@ class TestBlockedPass:
         # spread (1), not of the offset (1e6), where no margin would clear it.
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 300 * 37)
         points = np.random.default_rng(31).uniform(size=(300, 32)) + 1e6
-        dist = NeighborIndex(points).distances_all(7)
+        dist = fast._BruteIndex(points).distances_all(7)
         assert np.array_equal(dist, self.sorted_cdist(points, 7))
         assert rescans == []
 
@@ -504,7 +519,7 @@ class TestBlockedPass:
         points = np.vstack([np.zeros(24), np.eye(24)])[:q]  # ties at every cut
         k = min(5, q - 1)
         assert k + 1 + fast._SPARE >= q
-        dist = NeighborIndex(points).distances_all(k)
+        dist = fast._BruteIndex(points).distances_all(k)
         assert np.array_equal(dist, self.sorted_cdist(points, k))
         assert rescans == []
 
@@ -519,7 +534,7 @@ class TestBlockedPass:
         points = self.points_with_twin(100)
         points[60:64] = points[7]  # four more copies of one point
         data = Dataset(points)
-        assert index_on(path, points, monkeypatch).method == path
+        assert scorers_on(path, points, monkeypatch).method == path
         # s_n = 99: every other point is a neighbor.
         settings = [Params(n_d=n_d, s_n=s_n) for n_d in (3.0, 0.2) for s_n in (1, 6, 99)]
         for params, report in zip(settings, score_settings(data, settings)):
@@ -541,7 +556,7 @@ class TestBlockedPass:
         monkeypatch.setattr(fast, "_BLOCK", 7)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 7 * len(points))
         monkeypatch.setattr(fast, "_cpus", lambda: 3)
-        index = index_on(path, points, monkeypatch)
+        index = scorers_on(path, points, monkeypatch)
         far = len(points) - 1
         order = np.arange(len(points)) if path == "brute" else index._order
         assert np.flatnonzero(order == far)[0] >= 28  # blocks of 7: rows 28 and 29 last
@@ -568,7 +583,7 @@ class TestBlockedPass:
         points = np.vstack([np.random.default_rng(33).uniform(size=(29, 2)), [1e10, 0.0]])
         monkeypatch.setattr(fast, "_BLOCK", 7)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 7 * len(points))
-        index_on(path, points, monkeypatch)
+        scorers_on(path, points, monkeypatch)
         labeled = LabeledDataset(Dataset(points), np.arange(len(points)) == len(points) - 1)
         for scorer in (score_all_fast, score_all_naive):
             with pytest.raises(SimilarityUnderflow) as raised:
@@ -595,13 +610,13 @@ class TestBlockedPass:
         data, params = Dataset(points), Params(n_d=0.5, s_n=k)
         monkeypatch.setattr(fast, "_BLOCK", 7)
         callers = set()
-        query = NeighborIndex._query
+        query = fast._TreeIndex._query
 
         def recording_query(index, block, m):
             callers.add(threading.get_ident())
             return query(index, block, m)
 
-        monkeypatch.setattr(NeighborIndex, "_query", recording_query)
+        monkeypatch.setattr(fast._TreeIndex, "_query", recording_query)
         results = {}
         for cpus in (1, 4):
             monkeypatch.setattr(fast, "_cpus", lambda: cpus)
@@ -621,7 +636,7 @@ class TestBlockedPass:
         points = np.array([[1.0, 0], [1.0, 1e-200], [1.0, 0], [4.0, 4], [1.0, -3]])
         monkeypatch.setattr(fast, "_BLOCK", 2)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 2 * len(points))
-        dist = index_on(path, points, monkeypatch).distances_all(3)
+        dist = index_on(path, points).distances_all(3)
         assert dist.tolist() == [
             [0.0, 0.0, 3.0],
             [0.0, 0.0, 3.0],
@@ -644,7 +659,7 @@ class TestPooledBruteScan:
     def callers(self, monkeypatch):
         """Force the brute path; record the thread of every block's scan and rescan."""
         calls = {"scan": set(), "rescan": set()}
-        scan = NeighborIndex._scan
+        scan = fast._BruteIndex._query
         nearest_exact = fast._nearest_exact
 
         def recording_scan(index, block, m):
@@ -656,7 +671,7 @@ class TestPooledBruteScan:
             return nearest_exact(rows, points, m, exp)
 
         monkeypatch.setattr(fast, "_TREE_MAX_DIM", 0)
-        monkeypatch.setattr(NeighborIndex, "_scan", recording_scan)
+        monkeypatch.setattr(fast._BruteIndex, "_query", recording_scan)
         monkeypatch.setattr(fast, "_nearest_exact", recording_rescan)
         return calls
 
@@ -717,7 +732,7 @@ class TestPooledBruteScan:
         get, set_ = OPENBLAS
         points = np.random.default_rng(60).uniform(-1.0, 1.0, size=(60, 32))
         counts, scored = [], []
-        scan, row_scores = NeighborIndex._scan, fast._row_scores
+        scan, row_scores = fast._BruteIndex._query, fast._row_scores
 
         def recording_scan(index, block, m):
             counts.append(get())
@@ -728,7 +743,7 @@ class TestPooledBruteScan:
         monkeypatch.setattr(fast, "_TREE_MAX_DIM", 0)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 2 * 10 * len(points))
         monkeypatch.setattr(fast, "_cpus", lambda: 2)
-        monkeypatch.setattr(NeighborIndex, "_scan", recording_scan)
+        monkeypatch.setattr(fast._BruteIndex, "_query", recording_scan)
         monkeypatch.setattr(fast, "_row_scores", lambda *a: scored.append(1) or row_scores(*a))
         saved = get()
         threads = threading.active_count()

@@ -10,6 +10,7 @@ from odac import (
     Dataset,
     LabeledDataset,
     NonFiniteValue,
+    Params,
     ParseError,
     RaggedRows,
     ScoreReport,
@@ -19,6 +20,7 @@ from odac import (
     preprocess,
     read_csv,
     read_species_table,
+    score_all_fast,
     write_csv,
     write_scores,
 )
@@ -57,6 +59,44 @@ def test_preprocess_spec_rejects_bad_scale():
     data = Dataset(np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]))
     with pytest.raises(ValueError, match="scale must be > 0, got 0.0"):
         preprocess(data, scale=0.0)
+
+
+BIG = np.finfo(float).max
+
+
+@given(
+    q=st.integers(3, 30),
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 300.0, 1e150]),
+)
+@settings(max_examples=150, deadline=None)
+def test_preprocess_overflowing_span(q, n, seed, scale):
+    # Column 0 runs from below -2^1023 to above 2^1023, so max - min
+    # overflows; the other columns mix ordinary and such wide spans. No
+    # value is subnormal, so halving the data is exact.
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1e6, 1e6, size=(q, n))
+    wide = np.arange(n) == 0
+    wide[1:] = rng.integers(0, 2, size=n - 1).astype(bool)
+    signs = rng.choice([-1.0, 1.0], size=(q, n))
+    huge = signs * BIG * rng.uniform(2.0**-30, 1.0, size=(q, n))
+    huge[rng.uniform(size=(q, n)) < 0.2] = 0.0
+    points[:, wide] = huge[:, wide]
+    points[0, wide] = -BIG * rng.uniform(0.5, 1.0, size=wide.sum())
+    points[1, wide] = BIG * rng.uniform(0.5, 1.0, size=wide.sum())
+    out = preprocess(Dataset(points), normalize=True, scale=scale).points
+    assert np.all((out >= 0) & (out <= scale))
+    assert out[:, 0].min() == 0 and out[:, 0].max() == scale
+    # Halving every column changes no bit; a column keeps its bits whatever
+    # its neighbours hold.
+    assert np.array_equal(preprocess(Dataset(points * 0.5), scale=scale).points, out)
+    for j in np.flatnonzero(~wide):
+        alone = np.column_stack([points[:, j], points[:, j]])
+        assert np.array_equal(preprocess(Dataset(alone), scale=scale).points[:, 0], out[:, j])
+    s_n = min(3, q - 1)
+    scores = score_all_fast(Dataset(out), Params(n_d=scale / 4, s_n=s_n)).scores
+    assert np.all(np.isfinite(scores) & (scores > 0) & (scores <= s_n))
 
 
 def test_read_unlabeled_csv():
