@@ -149,11 +149,11 @@ def _read_input(args, need_labels: bool):
     loaded = ingest.read_csv(args.input, has_header=args.header, label_column=label)
     if not args.normalize and args.scale is None:
         return loaded
-    scale = 300.0 if args.scale is None else args.scale
-    if isinstance(loaded, LabeledDataset):
-        scaled = ingest.preprocess(loaded.data, normalize=args.normalize, scale=scale)
-        return LabeledDataset(scaled, loaded.is_outlier)
-    return ingest.preprocess(loaded, normalize=args.normalize, scale=scale)
+    data = loaded.data if isinstance(loaded, LabeledDataset) else loaded
+    # Without --scale, `ingest.preprocess` applies its default.
+    scale = {} if args.scale is None else {"scale": args.scale}
+    scaled = ingest.preprocess(data, normalize=args.normalize, **scale)
+    return scaled if data is loaded else LabeledDataset(scaled, loaded.is_outlier)
 
 
 def _cmd_score(args) -> int:

@@ -22,6 +22,8 @@ dimension: a `_TreeIndex` up to _TREE_MAX_DIM, a `_BruteIndex` past it.
 Each path's class owns its build (`_build`), its plan (`_plan`: the BLAS
 to hold to one thread, the threads, the rows per block), its per-block
 query (`_query`) and its row order (`_rows`, the input rows of a block).
+The loop clamps the plan's threads to the number of blocks, and holds
+the BLAS only when more than one thread is left.
 
 `_TreeIndex` is a sliding-midpoint kd-tree (Maneewongvatana & Mount
 1999) with leaves of up to _LEAF points: each cell is split at the
@@ -167,10 +169,7 @@ class NeighborIndex:
     dimensions and a `_BruteIndex` past them; this is the one place the
     path is chosen, and a path's class builds that path whatever the
     dimension. The base class finds the scaling exponent and runs the one
-    block loop, `distances_all`. Each path supplies its `method` name,
-    its build (`_build`), its plan (`_plan`: the BLAS to hold, the
-    threads, the rows per block), its per-block query (`_query`) and the
-    input rows of a block (`_rows`).
+    block loop, `distances_all`; the module docstring describes the rest.
 
     The kd-tree and the brute-force scan square coordinate differences,
     which overflow past about 1e154 and go subnormal below about 1e-154.
@@ -205,22 +204,13 @@ class NeighborIndex:
         interchangeable for any distance-based score, so no index
         tie-break is needed.
 
-        This loop is the same for both paths; the index's class owns the
-        rest. Its `_build` made the points the blocks are contiguous runs
-        of: `_TreeIndex` holds them in leaf order, `_BruteIndex` in input
-        order. Its `_plan` gives the BLAS to hold to one thread while the
-        pool runs, the threads and the rows per block: the kd-tree holds
-        no BLAS and takes _BLOCK rows on one thread per CPU; the brute
-        scan holds numpy's OpenBLAS where it can, on one thread per CPU,
-        with blocks that share _BRUTE_CELLS, and elsewhere takes its
-        blocks in the calling thread, each matrix product on BLAS's own
-        threads. A held thread count is restored when the pass ends,
-        normally or not. Its `_query` computes a block on one pool
-        thread, at most threads + 1 blocks held or in progress at once,
-        and its `_rows` maps the block to its input rows. The results are
-        taken in block order in the calling thread, which scales them,
-        runs `reduce` and stores them in their input rows. Every pool
-        thread has ended when this returns or raises.
+        Each block is queried on one thread: on a pool when the index's
+        plan and the block count leave more than one thread, at most
+        threads + 1 blocks held or in progress at once. The calling thread
+        takes them in block order and runs `reduce` on each, so `reduce`
+        may raise to end the pass. A BLAS thread count held for the pool
+        is restored, and every pool thread has ended, when this returns or
+        raises.
         """
         q = self._points.shape[0]
         if not 1 <= k <= q - 1:
@@ -228,11 +218,11 @@ class NeighborIndex:
         blas, threads, size = self._plan(q)
         # The brute scan's padded columns lie past q, so no block reaches them.
         blocks = [slice(start, min(start + size, q)) for start in range(0, q, size)]
+        threads = min(threads, len(blocks))
         passes = _in_order(lambda block: self._query(block, k + 1), blocks, threads)
-        pooled = min(threads, len(blocks)) > 1
         out = None
         # The pool has ended before BLAS gets its threads back.
-        with _one_blas_thread(blas if pooled else None), contextlib.closing(passes):
+        with _one_blas_thread(blas if threads > 1 else None), contextlib.closing(passes):
             for block, dist in zip(blocks, passes):
                 # Each point is at distance 0 from itself, so column 0 is
                 # always a zero; dropping it leaves the k true neighbor
@@ -380,17 +370,15 @@ def _cpus() -> int:
 
 
 def _in_order(fn: Callable, items: list, threads: int) -> Iterator:
-    """Yield fn(item) for each item, in order, computed on up to `threads` threads.
+    """Yield fn(item) for each item, in order, computed on `threads` threads.
 
-    With one thread or one item, each result is computed in the calling
-    thread when it is asked for. Otherwise a pool of threads computes
-    them, at most threads + 1 results held or in progress at once, so
-    memory stays a few items' worth however many items there are. A
-    result's exception is raised when that result is reached. The pool
-    is shut down, waiting for its threads, when the generator finishes
-    or is closed.
+    With one thread, each result is computed in the calling thread when
+    it is asked for. Otherwise a pool of threads computes them, at most
+    threads + 1 results held or in progress at once, so memory stays a
+    few items' worth however many items there are. A result's exception
+    is raised when that result is reached. The pool is shut down, waiting
+    for its threads, when the generator finishes or is closed.
     """
-    threads = min(threads, len(items))
     if threads <= 1:
         yield from map(fn, items)
         return
@@ -557,43 +545,45 @@ def score_settings(data: Dataset, settings: Sequence[Params]) -> list[ScoreRepor
     validate_dataset(data)
     index = NeighborIndex(data.points)
     tiny = np.finfo(float).tiny
-    least = np.full(len(settings), np.inf)
+    minima = []
 
     def reduce(dist: np.ndarray) -> np.ndarray:
-        scores = _row_scores(dist, settings, least)
+        scores, least = _row_scores(dist, settings)
         # No setting precedes the first, so its underflow ends the pass.
         if least[0] < tiny:
             raise SimilarityUnderflow(settings[0].n_d)
+        minima.append(least)
         return scores
 
     scores = index.distances_all(max(p.s_n for p in settings), reduce)
     # The others are checked after the pass: a check per block would name
     # the first setting to underflow in the earliest such block instead.
-    for params, smallest in zip(settings, least):
+    for params, smallest in zip(settings, np.min(minima, axis=0)):
         if smallest < tiny:
             raise SimilarityUnderflow(params.n_d)
     return [ScoreReport(column) for column in scores.T]
 
 
 def _row_scores(
-    dist: np.ndarray, settings: Sequence[Params], least: np.ndarray
-) -> np.ndarray:
-    """Scores of a block of rows of ascending distances, one column per setting.
+    dist: np.ndarray, settings: Sequence[Params]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of a block of rows of ascending distances, and their smallest similarities.
 
-    A setting's column sums the transform of the first s_n distances of
-    each row. least[j] is lowered to the smallest similarity setting j
-    sums in the block.
+    A setting's column of the (rows, settings) scores sums the transform
+    of the first s_n distances of each row; its entry of the (settings,)
+    minima is the smallest similarity it sums in the block.
     """
     scores = np.empty((len(dist), len(settings)))
+    least = np.empty(len(settings))
     for j, params in enumerate(settings):
         sims = similarity_from_distance(dist[:, : params.s_n], params.n_d)
         # The similarity falls as the distance grows, so the smallest one a
         # row sums sits in column s_n - 1.
-        least[j] = min(least[j], sims[:, -1].min())
+        least[j] = sims[:, -1].min()
         # Rows are descending (distances ascending); reverse so the sum
         # accumulates ascending values like the reference scorer.
         scores[:, j] = sims[:, ::-1].sum(axis=1)
-    return scores
+    return scores, least
 
 
 def score_all_fast(data: Dataset, params: Params) -> ScoreReport:

@@ -1,12 +1,12 @@
 """Dataset I/O and preprocessing: every CSV read and write, min-max scaling.
 
 Datasets, scores and the evaluation reports are all written by
-`_write_lines`. Both readers go through `_read_table`. For a path or a
-seekable byte stream, `read_csv` first parses the numbers with numpy's
-chunked `np.loadtxt` (`_read_fast`); if that fails in any way, or the
-label column holds more than 0/1, the source is read again by the
-per-cell row loop `_read_rows`. The loop is the only reader of text
-streams and species tables, and the only source of `ParseError` and
+`_write_lines`. `read_csv` goes through `_read_table`: for a path or a
+seekable byte stream it first parses the numbers with numpy's chunked
+`np.loadtxt` (`_read_fast`); if that fails in any way, or the label
+column holds more than 0/1, the source is read again by the per-cell row
+loop `_read_rows`. The loop is the only reader of text streams and of
+`read_species_table`, and the only source of `ParseError` and
 `RaggedRows`, so every error names the line and field it always did.
 Paths and byte streams are decoded with "surrogateescape", so a byte
 that is not UTF-8 reads as a lone surrogate: numpy's parser declines
@@ -149,13 +149,12 @@ def _resolve_label_column(label_column, header, width, line_no):
     return idx
 
 
-def _read_table(source: Source, has_header: bool, label_column, text_labels: bool):
-    """(features, labels) of a CSV: numpy's parser first, else the row loop.
+def _read_table(source: Source, has_header: bool, label_column):
+    """(features, flags) of a CSV: numpy's parser first, else the row loop.
 
     The label column, if any, is left out of the float features and
-    returned per row: 0/1 flags as a bool array, or stripped text with
-    text_labels; labels is None without a label column. A path or a
-    seekable byte stream without text labels is first read by
+    returned as a bool array of its 0/1 flags; flags is None without a
+    label column. A path or a seekable byte stream is first read by
     `_read_fast`; when that declines, it is read again from the same
     position by `_read_rows`, which alone reports malformed input. A
     caller's text stream goes straight to the loop: it may split lines
@@ -164,13 +163,13 @@ def _read_table(source: Source, has_header: bool, label_column, text_labels: boo
     """
     owned = not isinstance(source, io.TextIOBase)  # opened with newline=""
     with _text_handle(source, "r") as handle:
-        if owned and not text_labels and handle.seekable():
+        if owned and handle.seekable():
             start = handle.tell()
             table = _read_fast(handle, start, has_header, label_column)
             if table is not None:
                 return table
             handle.seek(start)
-        return _read_rows(handle, has_header, label_column, text_labels)
+        return _read_rows(handle, has_header, label_column, text_labels=False)
 
 
 def _read_fast(handle, start, has_header: bool, label_column):
@@ -211,8 +210,9 @@ def _read_fast(handle, start, has_header: bool, label_column):
 
 
 def _read_rows(handle, has_header: bool, label_column, text_labels: bool):
-    """The row loop: every reader's fallback and its only error source.
+    """The row loop: `read_csv`'s fallback, `read_species_table`'s reader.
 
+    It alone raises `ParseError` and `RaggedRows` on malformed input.
     Blank rows and the header are skipped. Cells are parsed in file
     order, so the first bad one is reported, with the physical line on
     which its record starts (a quoted cell may span lines).
@@ -285,7 +285,7 @@ def read_csv(
         TooFewPoints / TooFewDimensions / NonFiniteValue: Validation of
             the parsed matrix.
     """
-    points, flags = _read_table(source, has_header, label_column, text_labels=False)
+    points, flags = _read_table(source, has_header, label_column)
     data = validate_dataset(Dataset(points))
     if flags is None:
         return data
@@ -298,9 +298,11 @@ def read_species_table(
     """Group numeric feature rows by a string class column.
 
     Suited to UCI-style files such as iris.data, where the last field is
-    the species name. Row order within each group is preserved.
+    the species name. Row order within each group is preserved. The
+    source is read by the row loop, as `read_csv` reads a text stream.
     """
-    features, names = _read_table(source, has_header, label_column, text_labels=True)
+    with _text_handle(source, "r") as handle:
+        features, names = _read_rows(handle, has_header, label_column, text_labels=True)
     column = np.asarray(names)
     return {name: features[column == name] for name in dict.fromkeys(names)}
 
@@ -310,8 +312,7 @@ def _write_rows(sink: Source, header, rows) -> None:
 
     Every cell this package writes is a formatted number or a fixed
     column name, so none needs CSV quoting, and joining the cells with
-    commas writes what csv.writer would, faster (on 10^5 score rows, in
-    about half its time).
+    commas writes what csv.writer would.
     """
     _write_lines(sink, map(",".join, itertools.chain([header], rows)))
 

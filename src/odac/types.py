@@ -39,10 +39,9 @@ class Dataset:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=np.float64)
+        pts = _frozen_array(self.points, np.float64)
         if pts.ndim != 2:
             raise ValueError(f"points must be 2-D, got shape {pts.shape}")
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @property

@@ -151,6 +151,17 @@ def test_score_normalizes_an_overflowing_span(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 5
 
 
+def test_score_normalize_defaults_to_scale_300(tmp_path):
+    scene = run_generate(tmp_path)
+    outputs = []
+    for extra in ([], ["--scale", "300"]):
+        out = tmp_path / f"scores{len(extra)}.csv"
+        args = ["score", "--in", str(scene), "--header", "--normalize", "--out", str(out)]
+        assert main(args + ["--sn", "8"] + extra) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_score_undecodable_input_is_a_data_error(tmp_path, capsys):
     data = tmp_path / "latin1.csv"
     data.write_bytes(b"x,y\n1,2\n\xe9,3\n4,5\n")  # 0xE9 is not UTF-8 here

@@ -288,6 +288,16 @@ class TestScoreSettings:
                 assert np.array_equal(got.scores, expected.scores)
                 assert got.ranking.tolist() == expected.ranking.tolist()
 
+    def test_row_scores_return_each_settings_smallest_similarity(self):
+        dist = np.sort(np.random.default_rng(7).uniform(0.0, 9.0, size=(50, 12)), axis=1)
+        dist.setflags(write=False)  # a block is only read
+        settings = [Params(n_d=n_d, s_n=s_n) for n_d, s_n in ((0.5, 1), (3.0, 5), (40.0, 12))]
+        scores, least = fast._row_scores(dist, settings)
+        assert scores.shape == (50, 3)
+        for params, smallest in zip(settings, least):
+            expected = similarity_from_distance(dist[:, params.s_n - 1], params.n_d).min()
+            assert smallest == expected
+
 
 def estimate_rows(kind, q, rows=5, seed=0):
     """(rows, q) stand-ins for the brute scan's squared-distance estimates."""
@@ -720,6 +730,19 @@ class TestPooledBruteScan:
         assert callers["scan"] == {threading.get_ident()}
         for a, b in zip(serial, pooled):
             assert np.array_equal(a, b)
+
+    def test_one_block_runs_here_without_holding_blas(self, callers, monkeypatch):
+        # 40 points in 25-D fit one brute block, so the plan's two threads
+        # are clamped to one: the query runs here and OpenBLAS is left alone.
+        points = np.random.default_rng(40).uniform(-1.0, 1.0, size=(40, 25))
+        sets = []
+        monkeypatch.setattr(fast, "_cpus", lambda: 2)
+        monkeypatch.setattr(fast, "_openblas", lambda: (lambda: 4, sets.append))
+        expected = cdist(points, points)
+        expected.sort(axis=1)
+        assert np.array_equal(NeighborIndex(points).distances_all(6), expected[:, 1:7])
+        assert callers["scan"] == {threading.get_ident()}
+        assert sets == []
 
     @needs_openblas
     @pytest.mark.parametrize("ending", ["returns", "underflow", "scan_fails"])

@@ -169,6 +169,18 @@ def test_species_table_groups_rows():
     assert groups["Iris-virginica"][0].tolist() == [6.3, 3.3, 6.0, 2.5]
 
 
+@pytest.mark.parametrize("kind", ["bytes", "path", "str"])
+def test_species_table_reads_every_source(kind, tmp_path):
+    expected = read_species_table(io.StringIO(IRIS_SNIPPET))
+    path = tmp_path / "iris.data"
+    path.write_text(IRIS_SNIPPET)
+    source = {"bytes": io.BytesIO(IRIS_SNIPPET.encode()), "path": path, "str": str(path)}[kind]
+    groups = read_species_table(source)
+    assert list(groups) == list(expected)
+    for name, rows in expected.items():
+        assert groups[name].tolist() == rows.tolist()
+
+
 @pytest.mark.parametrize(
     "text, kwargs, error, line, field",
     [
@@ -507,7 +519,7 @@ def test_fast_reader_matches_row_loop(case, has_header):
     fast = ingest._read_fast(_handle(data), 0, has_header, label)
     if fast is not None:  # when the fast path answers, it is the loop's answer
         assert _outcome(lambda: fast) == loop
-    assert _outcome(lambda: ingest._read_table(io.BytesIO(data), has_header, label, False)) == loop
+    assert _outcome(lambda: ingest._read_table(io.BytesIO(data), has_header, label)) == loop
 
 
 def test_fast_reader_takes_clean_files(tmp_path, monkeypatch):
@@ -517,7 +529,7 @@ def test_fast_reader_takes_clean_files(tmp_path, monkeypatch):
     text = "\ufeffx,label,y\r\n1.5,0,-2e3\r\n\r\n3, 1 ,4\r\n5,0,nan\r\n"
     monkeypatch.setattr(ingest, "_read_rows", no_loop)
     for kind in ("path", "bytes"):
-        points, flags = ingest._read_table(_source(kind, text, tmp_path), True, "label", False)
+        points, flags = ingest._read_table(_source(kind, text, tmp_path), True, "label")
         assert points.tolist()[:2] == [[1.5, -2000.0], [3.0, 4.0]]
         assert np.isnan(points[2, 1])
         assert flags.tolist() == [False, True, False]
@@ -536,7 +548,7 @@ def test_undecodable_bytes_raise_as_in_the_loop(data):
     line = data[: data.index(b"\xff")].count(b"\n") + 1
     loop = _outcome(lambda: ingest._read_rows(_handle(data), True, None, False))
     assert loop == (ParseError, line, 0, f"line {line}, field 0: byte 0xff is not UTF-8")
-    assert _outcome(lambda: ingest._read_table(io.BytesIO(data), True, None, False)) == loop
+    assert _outcome(lambda: ingest._read_table(io.BytesIO(data), True, None)) == loop
 
 
 @pytest.mark.parametrize("kind", ["path", "bytes"])
