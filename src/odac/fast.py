@@ -47,14 +47,22 @@ otherwise contend with the pool's, and its saved thread count is
 restored when the pass ends, however it ends. Where no OpenBLAS
 thread-count call is found, the calling thread takes the blocks one at a
 time, each product on BLAS's own threads. The scan ranks a block against
-every point with one BLAS matrix product of the expanded squared
-distance, recomputes the few best candidates exactly, in cdist's order,
-and rescans against every point, in the same order, any row whose
-ranking rounding could have changed (the FAISS scheme, Johnson et al.
-2017). The candidates are picked in two stages: each row's estimates are
-cut into _SLICES equal slices, their element-wise minimum is the minimum
-of each group of strided columns (one per slice), and only the estimates
-of the groups with the smallest minima are partitioned.
+every point with one float32 BLAS matrix product of the expanded squared
+distance and recomputes the few best candidates exactly, in cdist's
+order (the FAISS scheme, Johnson et al. 2017). A row is settled when a
+bound on the product's rounding shows that no point outside its
+candidates can be nearer; the bound grows with the norms of the row and
+of each point it compares, not with the largest norm in the data
+(Higham 2002, ch. 3), so far outliers do not unsettle the rest. So there
+are three stages: every row is ranked in float32, the rows that leaves
+unsettled are ranked again in float64 under the same bound, and the rows
+still unsettled, or tied at the cut in either ranking, are scanned
+against every point in cdist's order. Each stage's distances are
+cdist's bits. The candidates are picked in two steps: each row's
+estimates are cut into _SLICES equal slices, their element-wise minimum
+is the minimum of each group of strided columns (one per slice), and
+only the estimates of the groups with the smallest minima are
+partitioned.
 
 On either path each block's k + 1 nearest distances, minus column 0,
 are reduced as the calling thread takes the block. The reduction is
@@ -94,25 +102,43 @@ from .types import Dataset, Params, ScoreReport, validate_dataset
 # blocked brute-force scan is both simpler and faster.
 _TREE_MAX_DIM = 20
 # Cells in the brute-force blocks in progress at once, shared among the
-# pool's threads. A block holds its (rows, q) float64 squared-distance
+# pool's threads. A block holds its (rows, q) float32 squared-distance
 # estimates, so the scan's memory stays flat as q and the CPU count grow,
 # and each thread selects from estimates near a core's L2 (2 MiB on the
-# 2-core machine measured). On the 32-D, 10^4-point `score_highdim`
-# scene, k = 40, one block at a time with one `np.argpartition` per row,
-# a pass took 1.17-1.20 s at 2^21 cells, 0.93-0.94 s at 2^19 and
-# 0.96-1.01 s at 2^18. With the group pre-selection (8 interleaved
-# in-process runs on two scenes) it took medians of 0.78-0.84, 0.71-0.73,
-# 0.67-0.71 and 0.79-0.85 s at 2^18, 2^19, 2^20 and 2^21. On a pool of
-# 2 threads with OpenBLAS held to one, in-process passes took medians of
-# 0.42-0.45 s at 2^19 cells (2 MiB a thread), 0.37-0.42 s at 1.5 * 2^19
-# (3 MiB) and 0.36-0.37 s at 2^20 (4 MiB), against 0.51-0.58 s one block
-# at a time at 2^19 (2 sets of 5 runs). 2^20 peaked 3 MiB above
-# 1.5 * 2^19. In 7 interleaved benchmark runs each, `score_highdim` read
-# a median `wall_s` of 0.648 s at 2^19 and 0.587 s at 1.5 * 2^19, against
-# 0.746 s one block at a time, and a peak of 55.6-55.9 and 58.5-58.8 MiB,
-# against 55.9-56.6 MiB. 1.5 * 2^19 keeps most of the speed within 5% of
-# the memory.
-_BRUTE_CELLS = 3 << 18
+# 2-core machine measured). The float64 ranking the float32 one replaced
+# was measured first, at 8 bytes a cell. On the 32-D,
+# 10^4-point `score_highdim` scene, k = 40, one block at a time with one
+# `np.argpartition` per row, a pass took 1.17-1.20 s at 2^21 cells,
+# 0.93-0.94 s at 2^19 and 0.96-1.01 s at 2^18. With the group
+# pre-selection (8 interleaved in-process runs on two scenes) it took
+# medians of 0.78-0.84, 0.71-0.73, 0.67-0.71 and 0.79-0.85 s at 2^18,
+# 2^19, 2^20 and 2^21. On a pool of 2 threads with OpenBLAS held to one,
+# in-process passes took medians of 0.42-0.45 s at 2^19 cells,
+# 0.37-0.42 s at 1.5 * 2^19 and 0.36-0.37 s at 2^20, against 0.51-0.58 s
+# one block at a time at 2^19 (2 sets of 5 runs); in 7 interleaved
+# benchmark runs each, `score_highdim` read a median `wall_s` of 0.648 s
+# at 2^19 and 0.587 s at 1.5 * 2^19, and a peak of 55.6-55.9 and
+# 58.5-58.8 MiB, so the float64 scan took 1.5 * 2^19 cells (6 MiB). With
+# float32 estimates, 4 bytes a cell, in-process passes on two more seeds
+# of the scene (7 interleaved runs each) took medians of 0.203 and
+# 0.205 s at 1.5 * 2^19 cells (3 MiB), 0.188 and 0.183 s at 2^20
+# (4 MiB), 0.170 and 0.163 s at 1.25 * 2^20 and 0.174 and 0.164 s at
+# 1.5 * 2^20 (the float64 scan's 6 MiB). The benchmark's `score_highdim`
+# peak read 55.2-55.6, 56.9-57.2, 58.4-58.5 and 60.1-60.3 MiB at those
+# counts, and 58.5-59.5 MiB for the float64 scan. On 4,000 points of
+# {0,1}^32, where 2,354 rows are rescanned, a pass took 0.28 s at
+# 1.5 * 2^19 cells and 0.32 s at 2^20 (medians of 7) while a block's
+# rescan summed all its rows at once, and 0.19-0.21 s at both once it
+# took _RESCAN_CELLS at a time. 2^20, 2 MiB a thread on 2 CPUs, keeps
+# most of the speed and the peak 1.5 MiB below the float64 scan's.
+_BRUTE_CELLS = 1 << 20
+# Cells in each part of a full rescan (`_nearest_exact`), whose (rows, q)
+# float64 sums and differences then take 1 MiB, near a core's cache. On
+# the {0,1}^32 scene above, in 7 interleaved in-process passes at
+# 1.5 * 2^19 brute cells, all of a block's rescanned rows at once (up to
+# 98) took a median of 0.26-0.28 s, 2^17 cells 0.20-0.21 s, 2^16 0.20 s
+# and 2^15 0.23 s.
+_RESCAN_CELLS = 1 << 16
 # Slices per row in the brute scan's pre-selection, so each group of
 # strided columns holds this many estimates. In the same runs at 2^19
 # cells, 4 and 16 slices took 0.78-0.81 s.
@@ -147,16 +173,23 @@ _BLOCK = 1 << 10
 _LEAF = 48
 
 
-def similarity_from_distance(d, n_d: float):
-    """Closed-form similarity n_d / sqrt(d^2 + n_d^2) at Euclidean distance d.
+def similarity_from_distance(d, n_d: float, exp: int = 0):
+    """Closed-form similarity n_d / sqrt(D^2 + n_d^2) at Euclidean distance D = d * 2**exp.
 
-    Evaluated as 1 / hypot(d / n_d, 1): a zero distance gives exactly 1.0
+    Evaluated as 1 / hypot(D / n_d, 1): a zero distance gives exactly 1.0
     however small n_d is (n_d * n_d would underflow), and a ratio too
-    large to square still gives its true, tiny similarity.
+    large to square still gives its true, tiny similarity. With n_d =
+    f * 2**e, f in [0.5, 1), the ratio is (d * 2**(exp - e)) / f: the
+    scaling overflows only where the ratio itself does, so `NeighborIndex`
+    can hand over distances in its scaled units, with its exponent, that
+    would overflow if scaled back. Where no step leaves the normal range,
+    this is the bits of D / n_d.
     """
     d = np.asarray(d, dtype=np.float64)
+    f, e = np.frexp(n_d)
     with np.errstate(over="ignore"):
-        r = np.divide(d, n_d, out=np.empty(d.shape))
+        r = np.ldexp(d, exp - e, out=np.empty(d.shape))
+        r /= f
     np.hypot(r, 1.0, out=r)
     np.reciprocal(r, out=r)
     return r[()]  # a scalar for scalar input, else the array
@@ -175,8 +208,9 @@ class NeighborIndex:
     which overflow past about 1e154 and go subnormal below about 1e-154.
     So the index holds the points scaled by the power of two 2**-e that
     brings the largest magnitude into [0.5, 1), and scales distances back
-    by 2**e. Both steps are exact, so distances at ordinary scales are
-    unchanged bit for bit.
+    by 2**e, or hands them to a reduction in the scaled units with e.
+    Both steps are exact, so distances at ordinary scales are unchanged
+    bit for bit.
     """
 
     method: str  # "tree" or "brute", set by the path's class
@@ -191,14 +225,17 @@ class NeighborIndex:
         self._build(points)
 
     def distances_all(
-        self, k: int, reduce: Callable[[np.ndarray], np.ndarray] | None = None
+        self, k: int, reduce: Callable[[np.ndarray, int], np.ndarray] | None = None
     ) -> np.ndarray:
         """Ascending distances to the k nearest neighbors of every point, reduced.
 
-        Each block's (rows, k) distances are passed to `reduce`, and what
-        it returns for the block is stored in those rows of the result:
-        one row per point, as many columns as `reduce` returns. Without
-        `reduce` the result is the (q, k) distances themselves. A point is
+        `reduce(dist, e)` is passed each block's (rows, k) distances in
+        the index's scaled units, so the true distances are dist * 2**e,
+        and what it returns for the block is stored in those rows of the
+        result: one row per point, as many columns as `reduce` returns.
+        The scaled distances are finite even where the true ones would
+        overflow. Without `reduce` the result is the (q, k) distances
+        themselves, scaled back. A point is
         never its own neighbor, but a duplicate twin is, at distance 0.
         Only distances are reported: tied boundary neighbors are
         interchangeable for any distance-based score, so no index
@@ -229,8 +266,10 @@ class NeighborIndex:
                 # distances (a duplicate twin, or a point whose differences
                 # underflow, may stand in for self at the same 0).
                 dist = dist[:, 1:]
-                np.ldexp(dist, self._exp, out=dist)
-                value = dist if reduce is None else reduce(dist)
+                if reduce is None:
+                    value = np.ldexp(dist, self._exp, out=dist)
+                else:
+                    value = reduce(dist, self._exp)
                 if out is None:
                     out = np.empty((q,) + value.shape[1:])
                 out[self._rows(block)] = value
@@ -283,26 +322,27 @@ class _BruteIndex(NeighborIndex):
     method = "brute"
 
     def _build(self, points: np.ndarray) -> None:
-        """Keep the caller's points, and the centred, scaled, padded copy that ranks them.
+        """Keep the caller's points, and the fused rankers that order their candidates.
 
         The scan scales only the rows it gathers, so it holds no scaled
         copy of the points. It ranks candidates on points centred on their
         mean: the expanded squared distance then rounds relative to the
-        spread of the data, not to its offset from the origin. The columns
-        are padded to a multiple of _SLICES with zero rows of infinite
-        norm, whose estimates are inf and so never become candidates.
-        _reach, the largest squared norm of a real point, bounds the
-        rounding.
+        spread of the data, not to its offset from the origin. The float64
+        ranker, shape (n + 1, padded) and C-contiguous, holds the centred
+        points transposed, then their squared norms; the columns are padded
+        to a multiple of _SLICES with zero points of infinite norm, whose
+        estimates are inf and so never become candidates. `_rankers` holds
+        a float32 copy, then the float64 ranker: the order `_query` tries
+        them in.
         """
         self._points = np.asarray(points, dtype=np.float64)
-        q = len(points)
-        padded = q + -q % _SLICES
-        self._centred = np.zeros((padded, points.shape[1]))
-        centred = np.ldexp(points, -self._exp, out=self._centred[:q])
-        centred -= centred.mean(axis=0)
-        self._norms = np.full(padded, np.inf)
-        np.einsum("ij,ij->i", centred, centred, out=self._norms[:q])
-        self._reach = self._norms[:q].max()
+        q, n = points.shape
+        ranker = np.zeros((n + 1, q + -q % _SLICES))
+        centred = np.ldexp(points.T, -self._exp, out=ranker[:n, :q])
+        centred -= centred.mean(axis=1, keepdims=True)
+        np.einsum("ij,ij->j", centred, centred, out=ranker[n, :q])
+        ranker[n, q:] = np.inf
+        self._rankers = (ranker.astype(np.float32), ranker)
 
     def _plan(self, q: int) -> tuple[_BlasThreads | None, int, int]:
         """OpenBLAS held and one thread per CPU, or neither; rows sharing _BRUTE_CELLS.
@@ -320,41 +360,101 @@ class _BruteIndex(NeighborIndex):
     def _query(self, block: slice, m: int) -> np.ndarray:
         """Ascending distances from each block point to its m nearest points, by brute force.
 
-        One matrix product ranks every point for the block by the expanded
-        squared distance |a|^2 + |b|^2 - 2ab (less the row constant |a|^2),
-        and the m + _SPARE smallest become candidates (`_smallest`). Their
-        distances are then computed exactly, as cdist computes them, and a
-        row whose cut is too close to its m-th distance to trust the
-        ranking is scanned again by `_nearest_exact`. So the result is
-        cdist's, bit for bit.
+        A cascade: every row is ranked in float32 (`_rank`); the rows that
+        ranking cannot settle are ranked again in float64; the rows still
+        unsettled, and the rows tied at the cut in either ranking, are
+        scanned again in full by `_nearest_exact`. Each stage computes its
+        distances as cdist computes them, so the result is cdist's, bit
+        for bit, whichever stage settles a row.
+        """
+        rows = np.ldexp(self._points[block], -self._exp)
+        nearest = np.empty((len(rows), m))
+        todo, rescan = np.arange(len(rows)), []
+        for ranker in self._rankers:
+            if not len(todo):
+                break
+            found, settled, tied = self._rank(ranker, block.start + todo, rows[todo], m)
+            nearest[todo] = found
+            rescan.append(todo[tied])
+            todo = todo[~(settled | tied)]
+        rescan = np.concatenate([*rescan, todo])
+        if len(rescan):
+            nearest[rescan] = _nearest_exact(rows[rescan], self._points, m, self._exp)
+        return nearest
+
+    def _rank(
+        self, ranker: np.ndarray, at: np.ndarray, rows: np.ndarray, m: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distances to each row's m nearest candidates; which rows are settled, which tied.
+
+        `at` holds the rows' positions among the points, `rows` their
+        scaled coordinates. One matrix product in the ranker's dtype
+        estimates every point's expanded squared distance from each row,
+        less the row constant |a|^2: the lead rows [-2a, 1] against the
+        ranker's [b, |b|^2] give |b|^2 - 2ab. The m + _SPARE smallest
+        estimates become candidates (`_smallest`), whose distances are then
+        computed exactly, in cdist's order. A row is settled when no point
+        outside its candidates can be nearer than its m-th candidate. A
+        row not settled is tied when every candidate past its m-th is as
+        near as the m-th, as on grid data: a finer ranking can settle it
+        only by finding nearer points this one missed, so it is better
+        scanned again at once.
         """
         q, n = self._points.shape
         width = min(m + _SPARE, q)
-        lead = self._centred[block] * -2.0  # exact; cheaper than scaling the (rows, q) product
-        approx = lead @ self._centred.T
-        approx += self._norms
+        lead = np.empty((len(at), n + 1), ranker.dtype)
+        np.multiply(ranker[:n, at].T, -2, out=lead[:, :n])  # exact
+        lead[:, n] = 1
+        approx = lead @ ranker
         cand = _smallest(approx, width)
-        cut = np.take_along_axis(approx, cand[:, -1:], axis=1)[:, 0]  # the width-th smallest
+        cut = np.take_along_axis(approx, cand[:, -1:], axis=1)[:, 0].astype(np.float64)
         del approx
-        rows = np.ldexp(self._points[block], -self._exp)
         others = self._points[cand]
         sq = _squared_distances(rows, np.ldexp(others, -self._exp, out=others))
         sq.partition(m - 1, axis=1)
-        # A point outside the candidates has an estimate >= cut, so its
-        # squared distance is at least cut + |a|^2 less the rounding of
-        # both formulas. Each is a length-n dot product or sum of squares
-        # of values bounded by |a|^2 + max |b|^2 (centring rounds each
-        # coordinate once), so all of it stays below 16 (n + 2) eps times
-        # that sum, or below the smallest normal double when it underflows.
-        # A row whose margin is smaller is scanned again.
-        slack = 16 * (n + 2) * np.finfo(float).eps * (self._norms[block] + self._reach)
-        close = cut + self._norms[block] - sq[:, m - 1] <= slack + np.finfo(float).tiny
+        # Why a settled row is exact. A point b outside the row's
+        # candidates has an estimate >= cut. Write a and b for the centred
+        # points, A for a's squared norm as held in float64, S for b's
+        # square as computed in cdist's order, and eps, u = eps / 2 and
+        # tiny for the machine epsilon, unit roundoff and smallest normal
+        # of the ranker's dtype. Every rounding between the held points
+        # and the two computed values moves the estimate away from S - A
+        # by under c (A + |b|^2), c = 16 (n + 2) eps = 32 (n + 2) u, by
+        # Higham's bounds (2002, ch. 3), gamma_k = k u / (1 - k u):
+        #   - the product sums n + 1 terms, each at most |2 a_i b_i| or
+        #     |b|^2, so their magnitudes sum to at most A + 2 |b|^2. With
+        #     each factor rounded to the ranker's dtype and the terms summed
+        #     in any order, the estimate moves by under
+        #     gamma_(n+3) (A + 2 |b|^2) <= (2n + 7) u (A + |b|^2);
+        #   - the float64 steps move it by under (4n + 8) u64 (A + |b|^2):
+        #     the norms |b|^2 and A (n u64 each), cdist's sum of n squares
+        #     ((2n + 2) u64, as S <= 2 (A + |b|^2)), and the centring, which
+        #     is a translation and then one rounding per coordinate (4 u64).
+        # That is under a third of c in either dtype; the rest absorbs the
+        # second-order terms. A BLAS kernel that flushes subnormals to zero
+        # loses at most 4 tiny in each of its n + 1 products and n sums
+        # (the centred coordinates lie within 2), so floor = 16 (n + 2) tiny
+        # covers it. Neither term grows with the largest norm in the data,
+        # so far outliers do not loosen the bound of the other rows. Then,
+        # with |b|^2 <= 2 |a - b|^2 + 2 A <= 2 S + 2 A,
+        #   S >= cut - floor + A - c (A + |b|^2)
+        #     >= cut - floor + (1 - 3c) A - 2c S,
+        # so S >= (cut - floor + (1 - 3c) A) / (1 + 2c), the `bound` below.
+        # Computing it in float64 rounds it by under 4 eps64 (|cut| + A).
+        # When the row's m-th candidate square lies below it by more than
+        # that, no point outside the candidates is nearer, and the row is
+        # settled.
+        eps, tiny = np.finfo(ranker.dtype).eps, np.finfo(ranker.dtype).tiny
+        c = 16 * (n + 2) * eps
+        norms = self._rankers[-1][n, at]
+        bound = (cut - 16 * (n + 2) * tiny + (1 - 3 * c) * norms) / (1 + 2 * c)
+        settled = bound - sq[:, m - 1] > 4 * np.finfo(np.float64).eps * (np.abs(cut) + norms)
+        settled |= width == q  # every point is a candidate
+        tied = ~settled & (sq.max(axis=1) <= sq[:, m - 1])
         nearest = sq[:, :m]
         np.sqrt(nearest, out=nearest)
         nearest.sort(axis=1)
-        if width < q and close.any():
-            nearest[close] = _nearest_exact(rows[close], self._points, m, self._exp)
-        return nearest
+        return nearest, settled, tied
 
     def _rows(self, block: slice) -> slice:
         """The input rows of a block: the brute scan takes them in input order."""
@@ -509,22 +609,25 @@ def _nearest_exact(rows: np.ndarray, points: np.ndarray, m: int, exp: int) -> np
     `NeighborIndex` scales them); the rows are taken as they are. The
     (rows, q) squares are summed one coordinate at a time, in cdist's
     order, as `_squared_distances` sums them, so the distances are
-    cdist's bit for bit.
+    cdist's bit for bit. The rows are scanned _RESCAN_CELLS // q at a
+    time.
     """
     # Each coordinate contiguous: for 52 rows against 10^4 points in 32-D,
     # 42 ms against 145 ms for strided columns (cdist took 8-16 ms).
     columns = np.ldexp(points.T, -exp, out=np.empty(points.shape[::-1]))
-    dist = np.zeros((len(rows), len(points)))
-    diff = np.empty_like(dist)
-    for row_j, column in zip(rows.T, columns):
-        np.subtract(row_j[:, None], column, out=diff)
-        diff *= diff
-        dist += diff
-    del diff, columns
-    np.sqrt(dist, out=dist)
-    dist.partition(m - 1, axis=1)
-    nearest = dist[:, :m]
-    nearest.sort(axis=1)
+    step = max(1, _RESCAN_CELLS // len(points))
+    nearest = np.empty((len(rows), m))
+    for start in range(0, len(rows), step):
+        part = rows[start : start + step]
+        dist = np.zeros((len(part), len(points)))
+        diff = np.empty_like(dist)
+        for row_j, column in zip(part.T, columns):
+            np.subtract(row_j[:, None], column, out=diff)
+            diff *= diff
+            dist += diff
+        np.sqrt(dist, out=dist)
+        dist.partition(m - 1, axis=1)
+        nearest[start : start + step] = np.sort(dist[:, :m], axis=1)
     return nearest
 
 
@@ -547,8 +650,8 @@ def score_settings(data: Dataset, settings: Sequence[Params]) -> list[ScoreRepor
     tiny = np.finfo(float).tiny
     minima = []
 
-    def reduce(dist: np.ndarray) -> np.ndarray:
-        scores, least = _row_scores(dist, settings)
+    def reduce(dist: np.ndarray, exp: int) -> np.ndarray:
+        scores, least = _row_scores(dist, settings, exp)
         # No setting precedes the first, so its underflow ends the pass.
         if least[0] < tiny:
             raise SimilarityUnderflow(settings[0].n_d)
@@ -565,24 +668,30 @@ def score_settings(data: Dataset, settings: Sequence[Params]) -> list[ScoreRepor
 
 
 def _row_scores(
-    dist: np.ndarray, settings: Sequence[Params]
+    dist: np.ndarray, settings: Sequence[Params], exp: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scores of a block of rows of ascending distances, and their smallest similarities.
 
-    A setting's column of the (rows, settings) scores sums the transform
-    of the first s_n distances of each row; its entry of the (settings,)
-    minima is the smallest similarity it sums in the block.
+    The true distances are dist * 2**exp. A setting's column of the
+    (rows, settings) scores sums the transform of the first s_n distances
+    of each row; its entry of the (settings,) minima is the smallest
+    similarity it sums in the block. The transform runs once per distinct
+    n_d, at the largest s_n of its settings, and each of them sums a
+    prefix of that.
     """
     scores = np.empty((len(dist), len(settings)))
     least = np.empty(len(settings))
-    for j, params in enumerate(settings):
-        sims = similarity_from_distance(dist[:, : params.s_n], params.n_d)
-        # The similarity falls as the distance grows, so the smallest one a
-        # row sums sits in column s_n - 1.
-        least[j] = sims[:, -1].min()
-        # Rows are descending (distances ascending); reverse so the sum
-        # accumulates ascending values like the reference scorer.
-        scores[:, j] = sims[:, ::-1].sum(axis=1)
+    for n_d in dict.fromkeys(params.n_d for params in settings):
+        group = [j for j, params in enumerate(settings) if params.n_d == n_d]
+        widest = max(settings[j].s_n for j in group)
+        sims = similarity_from_distance(dist[:, :widest], n_d, exp)
+        for j in group:
+            # Rows are descending (distances ascending); the first s_n
+            # reversed, so the sum accumulates ascending values like the
+            # reference scorer, and the smallest similarity comes first.
+            prefix = sims[:, settings[j].s_n - 1 :: -1]
+            least[j] = prefix[:, 0].min()
+            scores[:, j] = prefix.sum(axis=1)
     return scores, least
 
 

@@ -105,6 +105,23 @@ def test_subnormal_similarities_exit_1_from_both_scorers(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_neighbour_distance_past_the_largest_double_is_scored(tmp_path, capsys):
+    # Four corners of the unit 6-cube scaled to 1e308: each point's third
+    # neighbour is sqrt(6) * 1e308 away, past the largest double, but its
+    # similarity at n_d = 1e308 is an ordinary 0.378.
+    data = tmp_path / "corners.csv"
+    data.write_text("a,b,c,d,e,f\n0,0,0,0,0,0\n1,1,1,1,1,1\n1,0,1,0,1,0\n0,1,0,1,0,1\n")
+    outs = {}
+    for scorer in ("fast", "naive"):
+        code = main(["score", "--in", str(data), "--header", "--normalize", "--scale", "1e308",
+                     "--nd", "1e308", "--sn", "3", "--scorer", scorer])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        outs[scorer] = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert outs["fast"] == outs["naive"]
+    assert {score for _, score, _ in outs["fast"]} == {"1.37796447301"}
+
+
 def test_score_missing_file(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     code = main(["score", "--in", str(missing), "--nd", "5", "--sn", "8"])

@@ -292,11 +292,38 @@ class TestScoreSettings:
         dist = np.sort(np.random.default_rng(7).uniform(0.0, 9.0, size=(50, 12)), axis=1)
         dist.setflags(write=False)  # a block is only read
         settings = [Params(n_d=n_d, s_n=s_n) for n_d, s_n in ((0.5, 1), (3.0, 5), (40.0, 12))]
-        scores, least = fast._row_scores(dist, settings)
+        scores, least = fast._row_scores(dist, settings, 0)
         assert scores.shape == (50, 3)
         for params, smallest in zip(settings, least):
             expected = similarity_from_distance(dist[:, params.s_n - 1], params.n_d).min()
             assert smallest == expected
+
+    def test_sweep_transforms_each_n_d_once(self, monkeypatch):
+        # An s_n sweep at one n_d transforms its widest prefix once, 80
+        # columns a row where a transform per setting would take 210, and
+        # each setting's score is the bits of its own transform's sum.
+        dist = np.sort(np.random.default_rng(8).uniform(0.0, 9.0, size=(40, 80)), axis=1)
+        settings = [Params(n_d=80.0, s_n=s) for s in (10, 20, 40, 60, 80)]
+        settings.insert(2, Params(n_d=0.5, s_n=30))
+        transform, widths = similarity_from_distance, []
+
+        def recording_transform(d, *args):
+            widths.append(d.shape[1])
+            return transform(d, *args)
+
+        monkeypatch.setattr(fast, "similarity_from_distance", recording_transform)
+        scores, least = fast._row_scores(dist, settings, 0)
+        assert sorted(widths) == [30, 80]
+        for j, params in enumerate(settings):
+            sims = transform(dist[:, : params.s_n], params.n_d)
+            assert np.array_equal(scores[:, j], sims[:, ::-1].sum(axis=1))
+            assert least[j] == sims[:, -1].min()
+
+    def test_transform_takes_the_index_exponent(self):
+        # Scaled back, 2^1023 * [1.5, 3] overflows past 3; handed over with
+        # the exponent, the ratio to n_d = 2^1023 is 1.5 and 3.
+        sims = similarity_from_distance(np.array([1.5, 3.0]), 2.0**1023, exp=1023)
+        assert sims.tolist() == [1 / np.hypot(1.5, 1.0), 1 / np.hypot(3.0, 1.0)]
 
 
 def estimate_rows(kind, q, rows=5, seed=0):
@@ -399,6 +426,20 @@ class TestBlockedPass:
 
         nearest_exact = fast._nearest_exact
         monkeypatch.setattr(fast, "_nearest_exact", recording_rescan)
+        return calls
+
+    @pytest.fixture
+    def reranks(self, monkeypatch):
+        """Record the rows of every float64 ranking, the scan's second stage."""
+        calls = []
+        rank = fast._BruteIndex._rank
+
+        def recording_rank(index, ranker, at, rows, m):
+            if ranker.dtype == np.float64:
+                calls.append(len(rows))  # pool threads append in any order
+            return rank(index, ranker, at, rows, m)
+
+        monkeypatch.setattr(fast._BruteIndex, "_rank", recording_rank)
         return calls
 
     @staticmethod
@@ -515,6 +556,15 @@ class TestBlockedPass:
         expected = np.sort(cdist(rows, points), axis=1)[:, :m]
         assert np.array_equal(fast._nearest_exact(rows, np.ldexp(points, exp), m, exp), expected)
 
+    def test_rescan_in_parts_is_cdist_bit_for_bit(self, monkeypatch):
+        # Parts of 3 rows against 50 points: 8 rows take parts of 3, 3 and 2.
+        monkeypatch.setattr(fast, "_RESCAN_CELLS", 3 * 50 + 2)
+        rng = np.random.default_rng(34)
+        points = rng.uniform(-1.0, 1.0, size=(50, 25)) * 10.0 ** rng.uniform(-3, 3, size=25)
+        rows = points[rng.integers(0, 50, size=8)]
+        expected = np.sort(cdist(rows, points), axis=1)[:, :6]
+        assert np.array_equal(fast._nearest_exact(rows, points, 6, 0), expected)
+
     def test_translated_scene_is_exact_without_rescan(self, rescans, monkeypatch):
         # Centring keeps the expanded formula's rounding at the scale of the
         # spread (1), not of the offset (1e6), where no margin would clear it.
@@ -523,6 +573,69 @@ class TestBlockedPass:
         dist = fast._BruteIndex(points).distances_all(7)
         assert np.array_equal(dist, self.sorted_cdist(points, 7))
         assert rescans == []
+
+    def test_ties_skip_the_float64_ranking(self, reranks, rescans):
+        # The unit-vector scene above: every row's candidates past its 6th
+        # tie with it, so float64 could not settle them, and each goes from
+        # the float32 ranking straight to the rescan.
+        points = np.vstack([np.zeros(24), np.eye(24)])
+        dist = fast._BruteIndex(points).distances_all(5)
+        assert np.array_equal(dist, self.sorted_cdist(points, 5))
+        assert (reranks, rescans) == ([], [25])
+
+    def test_far_outliers_settle_in_float32(self, reranks, rescans):
+        # A 32-D Gaussian cluster and 20 outliers 200 away: the largest
+        # centred squared norm is over 10^3 times a typical squared k-th
+        # neighbour distance. A float32 bound that grew with it would send
+        # most rows on to the float64 stage; the scan's bound grows only
+        # with each row's own norm and its candidates', so float32 settles
+        # every row.
+        rng = np.random.default_rng(41)
+        outliers = rng.standard_normal((20, 32))
+        outliers *= 200.0 / np.linalg.norm(outliers, axis=1, keepdims=True)
+        points = np.vstack([rng.standard_normal((2_000, 32)), outliers])
+        reference = self.sorted_cdist(points, 10)
+        centred = points - points.mean(axis=0)
+        assert (centred**2).sum(axis=1).max() > 1e3 * np.median(reference[:, -1] ** 2)
+        assert np.array_equal(fast._BruteIndex(points).distances_all(10), reference)
+        assert (reranks, rescans) == ([], [])
+
+    # Cluster width over separation: float32 settles the widest; past it
+    # every row is ranked again in float64, which settles each row down to
+    # 10^-5; at 10^-6 some rows are scanned again in full.
+    @pytest.mark.parametrize("ratio", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_two_tight_clusters_are_exact(self, reranks, rescans, ratio):
+        q = 1_000
+        rng = np.random.default_rng(42)
+        centres = np.array([np.zeros(32), np.full(32, 32**-0.5)])  # 1 apart
+        points = centres[np.arange(q) % 2] + ratio * 32**-0.5 * rng.standard_normal((q, 32))
+        dist = fast._BruteIndex(points).distances_all(10)
+        assert np.array_equal(dist, self.sorted_cdist(points, 10))
+        assert sum(reranks) == (0 if ratio == 1e-1 else q)
+        if ratio >= 1e-5:
+            assert rescans == []
+
+    @given(
+        dim=st.integers(21, 40),
+        q=st.integers(2, 150),
+        seed=st.integers(0, 2**32 - 1),
+        twins=st.integers(0, 10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_brute_pass_is_cdist_bit_for_bit(self, dim, q, seed, twins):
+        # Three clusters of widths 10^-7 to 1 at offsets up to 10^3, every
+        # column at a scale of its own, with duplicate points: whichever
+        # stage settles a row, the distances are cdist's.
+        rng = np.random.default_rng(seed)
+        centres = rng.uniform(-1.0, 1.0, (3, dim)) * 10.0 ** rng.uniform(-3, 3, (3, 1))
+        widths = 10.0 ** rng.uniform(-7, 0, 3)
+        cluster = rng.integers(0, 3, q)
+        points = centres[cluster] + widths[cluster, None] * rng.standard_normal((q, dim))
+        points *= 10.0 ** rng.uniform(-2, 2, dim)
+        points[rng.integers(0, q, twins)] = points[0]
+        k = int(rng.integers(1, min(q - 1, 20) + 1))
+        dist = fast._BruteIndex(points).distances_all(k)
+        assert np.array_equal(dist, self.sorted_cdist(points, k))
 
     @pytest.mark.parametrize("q", [3, 9, 14])  # q <= k + 1 + _SPARE: every point a candidate
     def test_every_point_a_candidate(self, rescans, q):
@@ -687,7 +800,7 @@ class TestPooledBruteScan:
 
     @staticmethod
     def scene(name):
-        if name == "datagen":  # blocks of 196 rows on 2 threads, the last one of 40
+        if name == "datagen":  # blocks of 262 rows on 2 threads, the last one of 166
             spec = SyntheticSpec(dim=32, normal_count=1990, anomaly_count=10, seed=32)
             return generate(spec).data.points
         if name == "binary":  # ties at every cut: about 2,300 rows are rescanned
