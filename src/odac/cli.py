@@ -18,35 +18,23 @@ from .types import DEFAULT_N_D, DEFAULT_S_N, LabeledDataset, Params
 
 _SCORERS = {"fast": score_all_fast, "naive": score_all_naive}
 
-# glibc's malloc moves its mmap and trim thresholds with what the process
-# has freed so far, so whether a large array is reused, kept or given back
-# (and with it a command's peak memory) would depend on the process's
-# history, down to the order its modules were imported in. Fixed
-# thresholds take that history out for large arrays: an array of 16 MiB
-# or more gets its own mapping, unmapped when freed, and the heap gives
-# back a free top of more than 16 MiB. Smaller blocks stay on the heap,
-# where a block loop reuses them. Set on import, before any command runs.
-# Free heap under the threshold, or below a block still in use, stays
-# resident, so `main` also trims the heap when each command ends.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's <malloc.h>
-_MALLOC_THRESHOLD = 16 << 20
-
 
 def _glibc():
-    """The C library on Linux, if it has glibc's mallopt and malloc_trim; else None."""
+    """The C library on Linux, if it has glibc's malloc_trim; else None."""
     if not sys.platform.startswith("linux"):
         return None
     try:
         libc = ctypes.CDLL(None)
     except OSError:
         return None
-    return libc if hasattr(libc, "mallopt") and hasattr(libc, "malloc_trim") else None
+    return libc if hasattr(libc, "malloc_trim") else None
 
 
+# Free heap below a block still in use, or under glibc's trim threshold,
+# stays resident after a command frees it, so `main` trims the heap when
+# each command ends: what one command freed is not left resident under
+# the next one's allocations.
 _LIBC = _glibc()
-if _LIBC is not None:
-    _LIBC.mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLD)
-    _LIBC.mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLD)
 
 
 def _add_scoring_flags(parser) -> None:

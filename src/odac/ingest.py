@@ -177,8 +177,9 @@ def _read_fast(handle, start, has_header: bool, label_column):
 
     numpy's parser reads the handle in chunks, so no copy of the text is
     held. It accepts a subset of what the loop accepts: plain decimal,
-    nan and inf cells, surrounding whitespace, and empty lines. Anything
-    else (quotes, underscores, non-ASCII digits, blank-field rows, a
+    nan and inf cells, surrounding whitespace, and empty lines; the header
+    line is split by `csv.reader`, as the loop splits it. Anything else
+    (a quoted data cell, underscores, non-ASCII digits, blank-field rows, a
     ragged row, a bad label) makes it fail, and the loop then reads the
     source and reports the first fault. On success the values are the
     loop's bit for bit: both parse a cell with the same string-to-double
@@ -190,9 +191,13 @@ def _read_fast(handle, start, has_header: bool, label_column):
         header = None
         if has_header:
             line = handle.readline()
-            header = [f.strip() for f in line.rstrip("\r\n").split(",")]
-            if '"' in line or not any(header) or _UNDECODABLE.search(line):
-                return None  # a quoted, blank or undecodable first line: the loop decides
+            fields = next(csv.reader([line]), [])
+            header = [f.strip() for f in fields]
+            # A last field that kept the line end is a quoted cell still
+            # open there: the header record runs on past this line.
+            if (not any(header) or fields[-1].endswith(("\n", "\r"))
+                    or _UNDECODABLE.search(line)):
+                return None  # a blank, multi-line or undecodable header: the loop decides
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # "no data" is declined below
             table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
@@ -201,7 +206,7 @@ def _read_fast(handle, start, has_header: bool, label_column):
         if label_column is None:
             return table, None
         idx = _resolve_label_column(label_column, header, table.shape[1], 0)
-    except (ValueError, ParseError):
+    except (ValueError, ParseError, csv.Error):
         return None
     labels = table[:, idx]
     if not np.all((labels == 0.0) | (labels == 1.0)):
@@ -220,10 +225,13 @@ def _read_rows(handle, has_header: bool, label_column, text_labels: bool):
     reader = csv.reader(_text_lines(handle))
     rows = []
     line_no = 1  # the physical line the next record starts on
-    for fields in reader:
-        if any(f.strip() for f in fields):
-            rows.append((line_no, fields))
-        line_no = reader.line_num + 1
+    try:
+        for fields in reader:
+            if any(f.strip() for f in fields):
+                rows.append((line_no, fields))
+            line_no = reader.line_num + 1
+    except csv.Error as err:  # a cell past csv's field size limit
+        raise ParseError(line_no, 0, str(err)) from None
     if not rows:
         raise ParseError(0, 0, "empty input")
     header = None

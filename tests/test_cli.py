@@ -1,5 +1,6 @@
 import pytest
 
+from odac import ingest
 from odac.cli import main
 
 GEN_FLAGS = [
@@ -175,6 +176,22 @@ def test_score_normalize_defaults_to_scale_300(tmp_path):
         out = tmp_path / f"scores{len(extra)}.csv"
         args = ["score", "--in", str(scene), "--header", "--normalize", "--out", str(out)]
         assert main(args + ["--sn", "8"] + extra) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_score_reads_a_quoted_header_as_the_plain_one(tmp_path, monkeypatch):
+    # Quoted names do not send the file to the row loop, and rank alike.
+    scene = run_generate(tmp_path)
+    header, rows = scene.read_text().split("\n", 1)
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text(",".join(f'"{name}"' for name in header.split(",")) + "\n" + rows)
+    monkeypatch.setattr(ingest, "_read_rows", None)
+    outputs = []
+    for data in (scene, quoted):
+        out = tmp_path / f"{data.stem}-scores.csv"
+        args = ["score", "--in", str(data), "--header", "--label-col", "label"]
+        assert main(args + ["--sn", "8", "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 

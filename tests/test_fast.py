@@ -274,6 +274,21 @@ def test_extreme_coordinate_scales(scale_exp, nd_exp, dim, seed, twins, shift):
         assert np.array_equal(scaled.scores, report.scores)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 3a: the fast pass reads distances of about 2^-600 in data "
+    "of extent 3 as 0, where the oracle scales each difference vector",
+)
+def test_fast_matches_naive_where_coordinate_spacing_underflows():
+    tiny = 2.0**-600
+    points = np.array([[1.0, 0.0], [0.0, 0.0], [tiny, 0.0], [0.0, tiny], [3.0, 3.0]])
+    data, params = Dataset(points), Params(n_d=tiny, s_n=2)
+    np.testing.assert_allclose(
+        score_all_fast(data, params).scores, score_all_naive(data, params).scores,
+        rtol=1e-9, atol=0,
+    )
+
+
 class TestScoreSettings:
     def test_prefixes_match_score_all_fast(self):
         # One pass at s_n = 30 scores every setting from prefixes of the

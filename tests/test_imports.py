@@ -4,9 +4,8 @@
 or a command on the brute-force path: only the kd-tree needs scipy, and
 `scipy.spatial` loads when a pass first builds one. No other module is
 imported while a command runs, since `odac.cli` loads everything else a
-command uses before it starts. Importing `odac.cli` also fixes glibc's
-malloc thresholds, so a large array freed by a command goes back to the
-system, and every command gives back its free heap when it ends.
+command uses before it starts. Every command gives back its free heap
+when it ends.
 """
 
 import json
@@ -107,32 +106,6 @@ def test_only_the_first_tree_build_imports_a_module(tmp_path):
     assert changed["eval"] == []
 
 
-FREED_BLOCKS = """
-import numpy as np
-import odac.cli
-
-def rss_mib():
-    with open("/proc/self/status") as status:
-        for line in status:
-            if line.startswith("VmRSS:"):
-                return int(line.split()[1]) / 1024
-
-before = rss_mib()
-for _ in range(3):
-    block = np.ones(20 << 17)  # 20 MiB
-    del block
-print(rss_mib() - before)
-"""
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
-def test_freed_large_blocks_return_to_the_system():
-    # With glibc's moving thresholds, freeing the first block raises the
-    # mmap threshold past 20 MiB, so the next ones come from the heap and
-    # stay resident after they are freed.
-    assert float(run_fresh(FREED_BLOCKS)) < 4.0
-
-
 FREE_HEAP = """
 import ctypes, json, sys
 from odac import cli
@@ -162,10 +135,10 @@ print(json.dumps(given_back))
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
 def test_every_command_gives_back_its_free_heap(tmp_path):
-    # Free heap under the 16 MiB trim threshold would stay resident, and
-    # the next command's allocations would stack on top of it. Without
+    # Free heap under glibc's trim threshold would stay resident, and the
+    # next command's allocations would stack on top of it. Without
     # the trim in `cli.main`, this score left 2.1 MiB of it resident on
-    # 2 CPUs and 5.2 MiB on one.
+    # 2 CPUs and 0.6 MiB on one.
     write_scenes(tmp_path)
     given_back = json.loads(run_fresh(FREE_HEAP, tmp_path).splitlines()[-1])
     assert given_back.keys() == {"score 6-D", "underflowing score 6-D"}

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -430,6 +431,19 @@ def test_error_names_the_line_its_record_starts_on(text, error, line, field, tmp
         assert getattr(err.value, "column", None) == field
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("x" * 140_000 + ",y\n1,2\n3,4\n", 1), ('x,y\n1,2\n"' + "3" * 140_000 + '",4\n', 3)],
+    ids=["header", "quoted-cell"],
+)
+def test_cell_past_the_csv_field_limit_is_a_parse_error(text, line, tmp_path):
+    # csv.reader refuses a field of more than 131,072 characters.
+    for kind in ("path", "bytes", "text"):
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            read_csv(_source(kind, text, tmp_path), has_header=True)
+        assert (err.value.line, err.value.column) == (line, 0)
+
+
 @pytest.mark.parametrize("kind", ["path", "bytes", "text"])
 def test_named_label_past_row_end_rejected(kind, tmp_path):
     # The header names two columns; the rows hold one.
@@ -479,9 +493,12 @@ def _csv_texts(draw):
     odd = draw(st.sampled_from([0.0, 0.03, 0.3]))  # the share of odd cells
     lines = []
     if draw(st.booleans()):
-        names = [draw(st.sampled_from(["x", "y", " z ", '"q"', ""])) for _ in range(width)]
+        names = [
+            draw(st.sampled_from(["x", "y", " z ", '"q"', "", '"p,q"', 'a"b', '"', '"r""s"']))
+            for _ in range(width)
+        ]
         if label_at is not None:
-            names[label_at] = "label"
+            names[label_at] = draw(st.sampled_from(["label", '"label"', ' "label"']))
         lines.append(",".join(names))
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(["row"] * 8 + ["blank", "spaces", "ragged"]))
@@ -526,10 +543,11 @@ def test_fast_reader_takes_clean_files(tmp_path, monkeypatch):
     def no_loop(*args):
         raise AssertionError("the row loop ran")
 
-    text = "\ufeffx,label,y\r\n1.5,0,-2e3\r\n\r\n3, 1 ,4\r\n5,0,nan\r\n"
+    rows = "1.5,0,-2e3\r\n\r\n3, 1 ,4\r\n5,0,nan\r\n"
+    headers = ["\ufeffx,label,y\r\n", '\ufeff"x","label" ,"y,z"\r\n']  # plain, quoted
     monkeypatch.setattr(ingest, "_read_rows", no_loop)
-    for kind in ("path", "bytes"):
-        points, flags = ingest._read_table(_source(kind, text, tmp_path), True, "label")
+    for kind, header in itertools.product(("path", "bytes"), headers):
+        points, flags = ingest._read_table(_source(kind, header + rows, tmp_path), True, "label")
         assert points.tolist()[:2] == [[1.5, -2000.0], [3.0, 4.0]]
         assert np.isnan(points[2, 1])
         assert flags.tolist() == [False, True, False]
