@@ -58,11 +58,15 @@ are three stages: every row is ranked in float32, the rows that leaves
 unsettled are ranked again in float64 under the same bound, and the rows
 still unsettled, or tied at the cut in either ranking, are scanned
 against every point in cdist's order. Each stage's distances are
-cdist's bits. The candidates are picked in two steps: each row's
-estimates are cut into _SLICES equal slices, their element-wise minimum
-is the minimum of each group of strided columns (one per slice), and
-only the estimates of the groups with the smallest minima are
-partitioned.
+cdist's bits. The index holds the caller's points, their mean, their
+float64 squared norms and the float32 ranker; the float64 ranker is
+built, once and under a lock, when a block first has a row the float32
+stage leaves unsettled, and kept for the life of the index, so a scene
+float32 settles never holds it. The candidates are picked in two steps:
+each row's estimates are cut into _SLICES equal slices, their
+element-wise minimum is the minimum of each group of strided columns
+(one per slice), and only the estimates of the groups with the smallest
+minima are partitioned.
 
 On either path each block's k + 1 nearest distances, minus column 0,
 are reduced as the calling thread takes the block. The reduction is
@@ -103,45 +107,37 @@ from .types import Dataset, Params, ScoreReport, validate_dataset
 _TREE_MAX_DIM = 20
 # Cells in the brute-force blocks in progress at once, shared among the
 # pool's threads. A block holds its (rows, q) float32 squared-distance
-# estimates, so the scan's memory stays flat as q and the CPU count grow,
-# and each thread selects from estimates near a core's L2 (2 MiB on the
-# 2-core machine measured). The float64 ranking the float32 one replaced
-# was measured first, at 8 bytes a cell. On the 32-D,
-# 10^4-point `score_highdim` scene, k = 40, one block at a time with one
-# `np.argpartition` per row, a pass took 1.17-1.20 s at 2^21 cells,
-# 0.93-0.94 s at 2^19 and 0.96-1.01 s at 2^18. With the group
-# pre-selection (8 interleaved in-process runs on two scenes) it took
-# medians of 0.78-0.84, 0.71-0.73, 0.67-0.71 and 0.79-0.85 s at 2^18,
-# 2^19, 2^20 and 2^21. On a pool of 2 threads with OpenBLAS held to one,
-# in-process passes took medians of 0.42-0.45 s at 2^19 cells,
-# 0.37-0.42 s at 1.5 * 2^19 and 0.36-0.37 s at 2^20, against 0.51-0.58 s
-# one block at a time at 2^19 (2 sets of 5 runs); in 7 interleaved
-# benchmark runs each, `score_highdim` read a median `wall_s` of 0.648 s
-# at 2^19 and 0.587 s at 1.5 * 2^19, and a peak of 55.6-55.9 and
-# 58.5-58.8 MiB, so the float64 scan took 1.5 * 2^19 cells (6 MiB). With
-# float32 estimates, 4 bytes a cell, in-process passes on two more seeds
-# of the scene (7 interleaved runs each) took medians of 0.203 and
-# 0.205 s at 1.5 * 2^19 cells (3 MiB), 0.188 and 0.183 s at 2^20
-# (4 MiB), 0.170 and 0.163 s at 1.25 * 2^20 and 0.174 and 0.164 s at
-# 1.5 * 2^20 (the float64 scan's 6 MiB). The benchmark's `score_highdim`
-# peak read 55.2-55.6, 56.9-57.2, 58.4-58.5 and 60.1-60.3 MiB at those
-# counts, and 58.5-59.5 MiB for the float64 scan. On 4,000 points of
-# {0,1}^32, where 2,354 rows are rescanned, a pass took 0.28 s at
-# 1.5 * 2^19 cells and 0.32 s at 2^20 (medians of 7) while a block's
-# rescan summed all its rows at once, and 0.19-0.21 s at both once it
-# took _RESCAN_CELLS at a time. 2^20, 2 MiB a thread on 2 CPUs, keeps
-# most of the speed and the peak 1.5 MiB below the float64 scan's.
-_BRUTE_CELLS = 1 << 20
+# estimates, so the scan's memory stays flat as q and the CPU count grow;
+# the blocks in progress set the brute pass's peak memory, and each
+# thread selects from estimates near a core's L2 (2 MiB on the 2-core
+# machine measured). Measured on the 32-D, 10^4-point `score_highdim`
+# scene, k = 40, on 2 CPUs. The earlier block kernels, which read the
+# estimates with `np.take_along_axis` and summed the candidates' squares
+# in a Python loop, lost speed below 2^20 cells: float64 estimates took
+# 0.42-0.45 s a pooled pass at 2^19 cells and 0.36-0.37 s at 2^20, and
+# float32 ones 0.203 and 0.205 s at 1.5 * 2^19 against 0.188 and 0.183 s
+# at 2^20, while each 2^19 cells added 1.5-1.7 MiB to the benchmark's
+# peak. The kernels now read the estimates through flat indices and sum
+# the squares with one `np.add.reduce`. In 10 interleaved 20 s benchmark
+# pairs, 3 * 2^18 cells (1.5 MiB a thread) read a median `peak_rss_mib`
+# of 53.35 MiB against 57.09 MiB for the earlier kernels at 2^20, lower
+# in 10 of 10, and `wall_s` 0.384 s against 0.366 s. In 5 rounds of 8 s
+# runs with the new kernels, 3 * 2^18 cells read 53.39 MiB and 0.378 s,
+# 2^20 read 54.93 MiB and 0.383 s, and 2^19 51.58 MiB but 0.405 s.
+_BRUTE_CELLS = 3 << 18
 # Cells in each part of a full rescan (`_nearest_exact`), whose (rows, q)
-# float64 sums and differences then take 1 MiB, near a core's cache. On
-# the {0,1}^32 scene above, in 7 interleaved in-process passes at
-# 1.5 * 2^19 brute cells, all of a block's rescanned rows at once (up to
-# 98) took a median of 0.26-0.28 s, 2^17 cells 0.20-0.21 s, 2^16 0.20 s
-# and 2^15 0.23 s.
+# float64 sums and differences then take 1 MiB, near a core's cache; the
+# brute index's build fills its rankers in parts of as many coordinates. On
+# 4,000 points of {0,1}^32, k = 40, where 2,354 rows are rescanned, in 7
+# interleaved in-process passes at 1.5 * 2^19 brute cells, all of a
+# block's rescanned rows at once (up to 98) took a median of 0.26-0.28 s,
+# 2^17 cells 0.20-0.21 s, 2^16 0.20 s and 2^15 0.23 s.
 _RESCAN_CELLS = 1 << 16
 # Slices per row in the brute scan's pre-selection, so each group of
-# strided columns holds this many estimates. In the same runs at 2^19
-# cells, 4 and 16 slices took 0.78-0.81 s.
+# strided columns holds this many estimates. With float64 estimates, one
+# block at a time at 2^19 cells, a pass on the `score_highdim` scene took
+# 0.71-0.73 s with 8 slices and 0.78-0.81 s with 4 or 16 (8 interleaved
+# in-process runs on two scenes).
 _SLICES = 8
 # Candidates per row beyond the m nearest the brute scan must report, so a
 # row's cut usually clears its m-th distance by more than rounding error.
@@ -322,27 +318,64 @@ class _BruteIndex(NeighborIndex):
     method = "brute"
 
     def _build(self, points: np.ndarray) -> None:
-        """Keep the caller's points, and the fused rankers that order their candidates.
+        """Keep the caller's points, their mean and squared norms, and the float32 ranker.
 
         The scan scales only the rows it gathers, so it holds no scaled
         copy of the points. It ranks candidates on points centred on their
         mean: the expanded squared distance then rounds relative to the
-        spread of the data, not to its offset from the origin. The float64
-        ranker, shape (n + 1, padded) and C-contiguous, holds the centred
-        points transposed, then their squared norms; the columns are padded
-        to a multiple of _SLICES with zero points of infinite norm, whose
-        estimates are inf and so never become candidates. `_rankers` holds
-        a float32 copy, then the float64 ranker: the order `_query` tries
-        them in.
+        spread of the data, not to its offset from the origin. A ranker,
+        shape (n + 1, padded) and C-contiguous, holds the centred points
+        transposed, then their squared norms; the columns are padded to a
+        multiple of _SLICES with zero points of infinite norm, whose
+        estimates are inf and so never become candidates. The float64
+        squared norms (`_norms`), which the settle bound reads, and the
+        float32 ranker are filled _RESCAN_CELLS at a time, so no float64
+        copy of all the points outlives the build. The float64 ranker is
+        built from the same mean and norms when a row first needs it
+        (`_float64_ranker`) and kept for the life of the index.
         """
         self._points = np.asarray(points, dtype=np.float64)
         q, n = points.shape
-        ranker = np.zeros((n + 1, q + -q % _SLICES))
-        centred = np.ldexp(points.T, -self._exp, out=ranker[:n, :q])
-        centred -= centred.mean(axis=1, keepdims=True)
-        np.einsum("ij,ij->j", centred, centred, out=ranker[n, :q])
+        total = np.zeros(n)
+        for part in self._parts():
+            total += np.ldexp(self._points[part], -self._exp).sum(axis=0)
+        self._mean = total / q
+        self._norms = np.empty(q)
+        for part, centred in self._centred():
+            np.einsum("ij,ij->j", centred, centred, out=self._norms[part])
+        self._ranker32 = self._ranker(np.float32)
+        self._ranker64 = None
+        self._ranker64_lock = threading.Lock()
+
+    def _parts(self) -> Iterator[slice]:
+        """Slices of the points, _RESCAN_CELLS coordinates each."""
+        q, n = self._points.shape
+        step = max(1, _RESCAN_CELLS // n)
+        return (slice(start, min(start + step, q)) for start in range(0, q, step))
+
+    def _centred(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """Each part of the points, scaled, centred on `_mean` and transposed, in float64."""
+        for part in self._parts():
+            centred = np.ldexp(self._points[part].T, -self._exp)
+            centred -= self._mean[:, None]
+            yield part, centred
+
+    def _ranker(self, dtype: type) -> np.ndarray:
+        """A ranker in `dtype`: the centred points transposed, then `_norms`, padded."""
+        q, n = self._points.shape
+        ranker = np.zeros((n + 1, q + -q % _SLICES), dtype)
+        for part, centred in self._centred():
+            ranker[:n, part] = centred
+        ranker[n, :q] = self._norms
         ranker[n, q:] = np.inf
-        self._rankers = (ranker.astype(np.float32), ranker)
+        return ranker
+
+    def _float64_ranker(self) -> np.ndarray:
+        """The float64 ranker, built once, by the first block that needs it."""
+        with self._ranker64_lock:
+            if self._ranker64 is None:
+                self._ranker64 = self._ranker(np.float64)
+        return self._ranker64
 
     def _plan(self, q: int) -> tuple[_BlasThreads | None, int, int]:
         """OpenBLAS held and one thread per CPU, or neither; rows sharing _BRUTE_CELLS.
@@ -361,7 +394,8 @@ class _BruteIndex(NeighborIndex):
         """Ascending distances from each block point to its m nearest points, by brute force.
 
         A cascade: every row is ranked in float32 (`_rank`); the rows that
-        ranking cannot settle are ranked again in float64; the rows still
+        ranking cannot settle are ranked again in float64, on the ranker
+        `_float64_ranker` builds for the first such row; the rows still
         unsettled, and the rows tied at the cut in either ranking, are
         scanned again in full by `_nearest_exact`. Each stage computes its
         distances as cdist computes them, so the result is cdist's, bit
@@ -370,10 +404,10 @@ class _BruteIndex(NeighborIndex):
         rows = np.ldexp(self._points[block], -self._exp)
         nearest = np.empty((len(rows), m))
         todo, rescan = np.arange(len(rows)), []
-        for ranker in self._rankers:
+        for ranker in (lambda: self._ranker32, self._float64_ranker):
             if not len(todo):
                 break
-            found, settled, tied = self._rank(ranker, block.start + todo, rows[todo], m)
+            found, settled, tied = self._rank(ranker(), block.start + todo, rows[todo], m)
             nearest[todo] = found
             rescan.append(todo[tied])
             todo = todo[~(settled | tied)]
@@ -407,7 +441,8 @@ class _BruteIndex(NeighborIndex):
         lead[:, n] = 1
         approx = lead @ ranker
         cand = _smallest(approx, width)
-        cut = np.take_along_axis(approx, cand[:, -1:], axis=1)[:, 0].astype(np.float64)
+        last = cand[:, -1] + np.arange(0, approx.size, approx.shape[1])
+        cut = approx.ravel().take(last).astype(np.float64)
         del approx
         others = self._points[cand]
         sq = _squared_distances(rows, np.ldexp(others, -self._exp, out=others))
@@ -446,7 +481,7 @@ class _BruteIndex(NeighborIndex):
         # settled.
         eps, tiny = np.finfo(ranker.dtype).eps, np.finfo(ranker.dtype).tiny
         c = 16 * (n + 2) * eps
-        norms = self._rankers[-1][n, at]
+        norms = self._norms[at]
         bound = (cut - 16 * (n + 2) * tiny + (1 - 3 * c) * norms) / (1 + 2 * c)
         settled = bound - sq[:, m - 1] > 4 * np.finfo(np.float64).eps * (np.abs(cut) + norms)
         settled |= width == q  # every point is a candidate
@@ -570,9 +605,13 @@ def _smallest(approx: np.ndarray, width: int) -> np.ndarray:
     g = cols // slices
     minima = approx.reshape(rows, slices, g).min(axis=1)
     best = np.argpartition(minima, width - 1, axis=1)[:, :width]
+    # Entries are read through indices into the flattened rows.
+    starts = np.arange(0, rows * cols, cols)[:, None]
+    best += starts
     pool = (best[:, None, :] + g * np.arange(slices)[:, None]).reshape(rows, -1)
-    pick = np.argpartition(np.take_along_axis(approx, pool, axis=1), width - 1, axis=1)
-    return np.take_along_axis(pool, pick[:, :width], axis=1)
+    pick = np.argpartition(approx.ravel().take(pool), width - 1, axis=1)[:, :width]
+    pick += np.arange(0, pool.size, pool.shape[1])[:, None]
+    return pool.ravel().take(pick) - starts
 
 
 def _slice_count(cols: int, width: int) -> int:
@@ -596,10 +635,9 @@ def _squared_distances(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """
     diff = np.subtract(candidates, rows[:, None, :], out=candidates)
     diff *= diff
-    sq = diff[:, :, 0].copy()
-    for j in range(1, diff.shape[2]):
-        sq += diff[:, :, j]
-    return sq
+    # Reduced along its first, outermost axis, a contiguous array is
+    # summed one coordinate at a time, in order, not pairwise.
+    return np.add.reduce(np.moveaxis(diff, 2, 0).copy(), axis=0)
 
 
 def _nearest_exact(rows: np.ndarray, points: np.ndarray, m: int, exp: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -457,6 +458,25 @@ class TestBlockedPass:
         monkeypatch.setattr(fast._BruteIndex, "_rank", recording_rank)
         return calls
 
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Record the dtype of every ranker a brute index builds.
+
+        A float64 build is slowed by 20 ms, so on a pool the other threads
+        reach the float64 stage while it is being built.
+        """
+        calls = []
+        ranker = fast._BruteIndex._ranker
+
+        def recording_ranker(index, dtype):
+            calls.append(dtype)  # pool threads append in any order
+            if dtype == np.float64:
+                time.sleep(0.02)
+            return ranker(index, dtype)
+
+        monkeypatch.setattr(fast._BruteIndex, "_ranker", recording_ranker)
+        return calls
+
     @staticmethod
     def sorted_cdist(points, k):
         return np.sort(cdist(points, points), axis=1)[:, 1 : k + 1]
@@ -598,13 +618,13 @@ class TestBlockedPass:
         assert np.array_equal(dist, self.sorted_cdist(points, 5))
         assert (reranks, rescans) == ([], [25])
 
-    def test_far_outliers_settle_in_float32(self, reranks, rescans):
+    def test_far_outliers_settle_in_float32(self, reranks, rescans, builds):
         # A 32-D Gaussian cluster and 20 outliers 200 away: the largest
         # centred squared norm is over 10^3 times a typical squared k-th
         # neighbour distance. A float32 bound that grew with it would send
         # most rows on to the float64 stage; the scan's bound grows only
         # with each row's own norm and its candidates', so float32 settles
-        # every row.
+        # every row, and no float64 ranker is built.
         rng = np.random.default_rng(41)
         outliers = rng.standard_normal((20, 32))
         outliers *= 200.0 / np.linalg.norm(outliers, axis=1, keepdims=True)
@@ -612,26 +632,47 @@ class TestBlockedPass:
         reference = self.sorted_cdist(points, 10)
         centred = points - points.mean(axis=0)
         assert (centred**2).sum(axis=1).max() > 1e3 * np.median(reference[:, -1] ** 2)
-        assert np.array_equal(fast._BruteIndex(points).distances_all(10), reference)
+        index = fast._BruteIndex(points)
+        assert np.array_equal(index.distances_all(10), reference)
         assert (reranks, rescans) == ([], [])
+        assert builds == [np.float32] and index._ranker64 is None
 
     # Cluster width over separation: float32 settles the widest; past it
     # every row is ranked again in float64, which settles each row down to
-    # 10^-5; at 10^-6 some rows are scanned again in full.
-    @pytest.mark.parametrize("ratio", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
-    def test_two_tight_clusters_are_exact(self, reranks, rescans, ratio):
+    # 10^-5; at 10^-6 some rows are scanned again in full. The pooled case
+    # ranks 50-row blocks on 2 threads, which may both need the float64
+    # ranker at once.
+    RATIOS = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+
+    @pytest.mark.parametrize(
+        "ratio, cpus",
+        [(ratio, 1) for ratio in RATIOS] + [(1e-3, 2)],
+        ids=[*map(str, RATIOS), "0.001-pooled"],
+    )
+    def test_two_tight_clusters_are_exact(
+        self, reranks, rescans, builds, monkeypatch, ratio, cpus
+    ):
         q = 1_000
+        if cpus > 1:
+            if OPENBLAS is None:
+                pytest.skip("the brute scan is pooled only where OpenBLAS can be held")
+            monkeypatch.setattr(fast, "_cpus", lambda: cpus)
+            monkeypatch.setattr(fast, "_BRUTE_CELLS", cpus * 50 * q)
         rng = np.random.default_rng(42)
         centres = np.array([np.zeros(32), np.full(32, 32**-0.5)])  # 1 apart
         points = centres[np.arange(q) % 2] + ratio * 32**-0.5 * rng.standard_normal((q, 32))
-        dist = fast._BruteIndex(points).distances_all(10)
+        index = fast._BruteIndex(points)
+        dist = index.distances_all(10)
         assert np.array_equal(dist, self.sorted_cdist(points, 10))
         assert sum(reranks) == (0 if ratio == 1e-1 else q)
         if ratio >= 1e-5:
             assert rescans == []
+        # The float64 ranker is built only when a row needs it, and once.
+        assert builds == ([np.float32] if ratio == 1e-1 else [np.float32, np.float64])
+        assert (index._ranker64 is None) == (ratio == 1e-1)
 
     @given(
-        dim=st.integers(21, 40),
+        dim=st.integers(2, 64),
         q=st.integers(2, 150),
         seed=st.integers(0, 2**32 - 1),
         twins=st.integers(0, 10),

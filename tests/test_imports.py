@@ -117,9 +117,13 @@ def rss_mib():
                 return int(line.split()[1]) / 1024
 
 workdir = sys.argv[1]
-score_6d = ["score", "--in", f"{workdir}/d6.csv", "--header", "--label-col", "label"]
+labeled = ["--header", "--label-col", "label"]
+score_6d = ["score", "--in", f"{workdir}/d6.csv", *labeled]
 commands = {
     "score 6-D": (score_6d + ["--sn", "200", "--out", f"{workdir}/r6.csv"], 0),
+    "score 25-D": (
+        ["score", "--in", f"{workdir}/d25.csv", *labeled, "--out", f"{workdir}/r25.csv"], 0
+    ),
     "underflowing score 6-D": (score_6d + ["--nd", "1e-320", "--out", f"{workdir}/r.csv"], 1),
 }
 trim = ctypes.CDLL(None).malloc_trim
@@ -136,10 +140,11 @@ print(json.dumps(given_back))
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
 def test_every_command_gives_back_its_free_heap(tmp_path):
     # Free heap under glibc's trim threshold would stay resident, and the
-    # next command's allocations would stack on top of it. Without
-    # the trim in `cli.main`, this score left 2.1 MiB of it resident on
-    # 2 CPUs and 0.6 MiB on one.
+    # next command's allocations would stack on top of it. Without the
+    # trim in `cli.main`, the 6-D score left 2.1 MiB of it resident on
+    # 2 CPUs but only 0.6 MiB on one; the 25-D score, after it, left
+    # 2.3 MiB on either, so a missing trim fails on one CPU too.
     write_scenes(tmp_path)
     given_back = json.loads(run_fresh(FREE_HEAP, tmp_path).splitlines()[-1])
-    assert given_back.keys() == {"score 6-D", "underflowing score 6-D"}
+    assert given_back.keys() == {"score 6-D", "score 25-D", "underflowing score 6-D"}
     assert all(mib < 1.0 for mib in given_back.values()), given_back
