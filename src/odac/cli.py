@@ -197,7 +197,13 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ValueError("--values is empty")
     vary = {"nd": "n_d", "sn": "s_n"}[args.vary]
-    parsed = [float(v) if vary == "n_d" else int(v) for v in values]
+    parse, kind = (float, "a number") if vary == "n_d" else (int, "an integer")
+    parsed = []
+    for v in values:
+        try:
+            parsed.append(parse(v))
+        except ValueError:
+            raise ValueError(f"--values: could not parse {v.strip()!r} as {kind}") from None
     report = evaluate.sweep(
         labeled,
         Params(n_d=args.nd, s_n=args.sn),

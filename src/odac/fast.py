@@ -110,20 +110,11 @@ _TREE_MAX_DIM = 20
 # estimates, so the scan's memory stays flat as q and the CPU count grow;
 # the blocks in progress set the brute pass's peak memory, and each
 # thread selects from estimates near a core's L2 (2 MiB on the 2-core
-# machine measured). Measured on the 32-D, 10^4-point `score_highdim`
-# scene, k = 40, on 2 CPUs. The earlier block kernels, which read the
-# estimates with `np.take_along_axis` and summed the candidates' squares
-# in a Python loop, lost speed below 2^20 cells: float64 estimates took
-# 0.42-0.45 s a pooled pass at 2^19 cells and 0.36-0.37 s at 2^20, and
-# float32 ones 0.203 and 0.205 s at 1.5 * 2^19 against 0.188 and 0.183 s
-# at 2^20, while each 2^19 cells added 1.5-1.7 MiB to the benchmark's
-# peak. The kernels now read the estimates through flat indices and sum
-# the squares with one `np.add.reduce`. In 10 interleaved 20 s benchmark
-# pairs, 3 * 2^18 cells (1.5 MiB a thread) read a median `peak_rss_mib`
-# of 53.35 MiB against 57.09 MiB for the earlier kernels at 2^20, lower
-# in 10 of 10, and `wall_s` 0.384 s against 0.366 s. In 5 rounds of 8 s
-# runs with the new kernels, 3 * 2^18 cells read 53.39 MiB and 0.378 s,
-# 2^20 read 54.93 MiB and 0.383 s, and 2^19 51.58 MiB but 0.405 s.
+# machine measured). On the 32-D, 10^4-point `score_highdim` scene,
+# k = 40, on 2 CPUs, in 5 rounds of 8 s benchmark runs, 3 * 2^18 cells
+# (1.5 MiB a thread) read a median `peak_rss_mib` of 53.39 MiB and
+# `wall_s` of 0.378 s, 2^20 cells 54.93 MiB and 0.383 s, and 2^19 cells
+# 51.58 MiB but 0.405 s.
 _BRUTE_CELLS = 3 << 18
 # Cells in each part of a full rescan (`_nearest_exact`), whose (rows, q)
 # float64 sums and differences then take 1 MiB, near a core's cache; the
@@ -137,7 +128,10 @@ _RESCAN_CELLS = 1 << 16
 # strided columns holds this many estimates. With float64 estimates, one
 # block at a time at 2^19 cells, a pass on the `score_highdim` scene took
 # 0.71-0.73 s with 8 slices and 0.78-0.81 s with 4 or 16 (8 interleaved
-# in-process runs on two scenes).
+# in-process runs on two scenes). The pooled float32 scan at 3 * 2^18
+# cells barely feels the count: medians of 9 interleaved in-process
+# passes on 2 CPUs were 0.218, 0.223 and 0.243 s with 4, 8 and 16 slices
+# on the seed-1 scene, and 0.245, 0.234 and 0.241 s on seed 2.
 _SLICES = 8
 # Candidates per row beyond the m nearest the brute scan must report, so a
 # row's cut usually clears its m-th distance by more than rounding error.
@@ -202,11 +196,13 @@ class NeighborIndex:
 
     The kd-tree and the brute-force scan square coordinate differences,
     which overflow past about 1e154 and go subnormal below about 1e-154.
-    So the index holds the points scaled by the power of two 2**-e that
-    brings the largest magnitude into [0.5, 1), and scales distances back
-    by 2**e, or hands them to a reduction in the scaled units with e.
-    Both steps are exact, so distances at ordinary scales are unchanged
-    bit for bit.
+    So both paths work on the points scaled by the power of two 2**-e
+    that brings the largest magnitude into [0.5, 1): `_TreeIndex` holds
+    them scaled; `_BruteIndex` holds the caller's array, scales each row
+    it gathers, and builds its rankers from the scaled points. Distances
+    are scaled back by 2**e, or handed to a reduction in the scaled units
+    with e. Both steps are exact, so distances at ordinary scales are
+    unchanged bit for bit.
     """
 
     method: str  # "tree" or "brute", set by the path's class

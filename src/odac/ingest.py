@@ -1,16 +1,17 @@
 """Dataset I/O and preprocessing: every CSV read and write, min-max scaling.
 
 Datasets, scores and the evaluation reports are all written by
-`_write_lines`. `read_csv` goes through `_read_table`: for a path or a
-seekable byte stream it first parses the numbers with numpy's chunked
-`np.loadtxt` (`_read_fast`); if that fails in any way, or the label
-column holds more than 0/1, the source is read again by the per-cell row
-loop `_read_rows`. The loop is the only reader of text streams and of
-`read_species_table`, and the only source of `ParseError` and
-`RaggedRows`, so every error names the line and field it always did.
-Paths and byte streams are decoded with "surrogateescape", so a byte
-that is not UTF-8 reads as a lone surrogate: numpy's parser declines
-it, and the loop reports the physical line holding the first one.
+`_write_lines`. `read_csv` goes through `_read_table`: for a seekable
+source it first parses the numbers with numpy's `np.loadtxt`
+(`_read_fast`); if that fails in any way, or the label column holds more
+than 0/1, the source is read again by the per-cell row loop `_read_rows`.
+Both read the same lines (`_text_lines`) and the same header record
+(`_records`). The loop is the only reader of sources that cannot tell
+their position, such as pipes, and of `read_species_table`, and the only
+source of `ParseError` and `RaggedRows`, so every error names the line
+and field it always did. Paths and byte streams are decoded with
+"surrogateescape", so a byte that is not UTF-8 reads as a lone
+surrogate, and `_text_lines` names the physical line holding the first.
 
 CSV conventions: UTF-8 (one leading byte-order mark is ignored), comma
 separated, decimal numbers. An optional header row names the columns;
@@ -154,64 +155,80 @@ def _read_table(source: Source, has_header: bool, label_column):
 
     The label column, if any, is left out of the float features and
     returned as a bool array of its 0/1 flags; flags is None without a
-    label column. A path or a seekable byte stream is first read by
-    `_read_fast`; when that declines, it is read again from the same
-    position by `_read_rows`, which alone reports malformed input. A
-    caller's text stream goes straight to the loop: it may split lines
-    other than at the "\n", "\r" and "\r\n" numpy splits at (an
-    io.StringIO splits only at "\n").
+    label column. A seekable source is first read by `_read_fast`; when
+    that declines, it is read again from the same position by
+    `_read_rows`, which alone reports malformed input. A source that
+    cannot tell its position (a pipe, or a text file part-read with
+    next()) is read by the loop alone.
     """
-    owned = not isinstance(source, io.TextIOBase)  # opened with newline=""
     with _text_handle(source, "r") as handle:
-        if owned and handle.seekable():
-            start = handle.tell()
-            table = _read_fast(handle, start, has_header, label_column)
+        try:
+            start = handle.tell() if handle.seekable() else None
+        except OSError:  # "telling position disabled by next() call"
+            start = None
+        if start is not None:
+            table = _read_fast(handle, has_header, label_column)
             if table is not None:
                 return table
             handle.seek(start)
         return _read_rows(handle, has_header, label_column, text_labels=False)
 
 
-def _read_fast(handle, start, has_header: bool, label_column):
+def _read_fast(handle, has_header: bool, label_column):
     """(features, flags) parsed by `np.loadtxt`, or None to leave it to the loop.
 
-    numpy's parser reads the handle in chunks, so no copy of the text is
-    held. It accepts a subset of what the loop accepts: plain decimal,
-    nan and inf cells, surrounding whitespace, and empty lines; the header
-    line is split by `csv.reader`, as the loop splits it. Anything else
-    (a quoted data cell, underscores, non-ASCII digits, blank-field rows, a
-    ragged row, a bad label) makes it fail, and the loop then reads the
-    source and reports the first fault. On success the values are the
+    It reads the lines and the header record the loop reads, and numpy's
+    parser takes the lines after the header one at a time, so no copy of
+    the text is held. numpy accepts a subset of what the loop accepts:
+    plain decimal, nan and inf cells, surrounding whitespace, and empty
+    lines. Anything else (a quoted data cell, underscores, non-ASCII
+    digits, blank-field rows, a ragged row, a bad label, an unquoted
+    carriage return inside a line) makes it fail, and the loop then reads
+    the source and reports the first fault. On success the values are the
     loop's bit for bit: both parse a cell with the same string-to-double
     conversion.
     """
+    lines = _text_lines(handle)
     try:
-        if handle.read(1) != "\ufeff":
-            handle.seek(start)
         header = None
         if has_header:
-            line = handle.readline()
-            fields = next(csv.reader([line]), [])
+            _, fields = next(_records(lines), (0, []))
             header = [f.strip() for f in fields]
-            # A last field that kept the line end is a quoted cell still
-            # open there: the header record runs on past this line.
-            if (not any(header) or fields[-1].endswith(("\n", "\r"))
-                    or _UNDECODABLE.search(line)):
-                return None  # a blank, multi-line or undecodable header: the loop decides
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # "no data" is declined below
-            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         if table.shape[0] == 0:
             return None
         if label_column is None:
             return table, None
         idx = _resolve_label_column(label_column, header, table.shape[1], 0)
-    except (ValueError, ParseError, csv.Error):
+    except (ValueError, ParseError):
         return None
     labels = table[:, idx]
     if not np.all((labels == 0.0) | (labels == 1.0)):
         return None
     return np.delete(table, idx, axis=1), labels == 1.0
+
+
+def _records(lines):
+    """Yield (line, fields) for each CSV record of `lines` with a non-blank cell.
+
+    `line` is the physical line on which the record starts (a quoted cell
+    may span lines).
+
+    Raises:
+        ParseError: where csv fails: on a cell past its field size limit,
+            or an unquoted carriage return inside a line.
+    """
+    reader = csv.reader(lines)
+    line_no = 1  # the physical line the next record starts on
+    try:
+        for fields in reader:
+            if any(f.strip() for f in fields):
+                yield line_no, fields
+            line_no = reader.line_num + 1
+    except csv.Error as err:
+        raise ParseError(line_no, 0, str(err)) from None
 
 
 def _read_rows(handle, has_header: bool, label_column, text_labels: bool):
@@ -220,18 +237,9 @@ def _read_rows(handle, has_header: bool, label_column, text_labels: bool):
     It alone raises `ParseError` and `RaggedRows` on malformed input.
     Blank rows and the header are skipped. Cells are parsed in file
     order, so the first bad one is reported, with the physical line on
-    which its record starts (a quoted cell may span lines).
+    which its record starts.
     """
-    reader = csv.reader(_text_lines(handle))
-    rows = []
-    line_no = 1  # the physical line the next record starts on
-    try:
-        for fields in reader:
-            if any(f.strip() for f in fields):
-                rows.append((line_no, fields))
-            line_no = reader.line_num + 1
-    except csv.Error as err:  # a cell past csv's field size limit
-        raise ParseError(line_no, 0, str(err)) from None
+    rows = list(_records(_text_lines(handle)))
     if not rows:
         raise ParseError(0, 0, "empty input")
     header = None

@@ -298,6 +298,21 @@ def test_sweep_sn_variant(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("s_n,worst_outlier_rank")
 
 
+@pytest.mark.parametrize(
+    "vary, values, message",
+    [("sn", "1,x", "could not parse 'x' as an integer"),
+     ("nd", "1, abc", "could not parse 'abc' as a number")],
+)
+def test_sweep_names_an_unparsed_value(tmp_path, capsys, vary, values, message):
+    scene = run_generate(tmp_path)
+    code = main(
+        ["sweep", "--in", str(scene), "--header", "--label-col", "label",
+         "--nd", "5", "--sn", "8", "--vary", vary, "--values", values]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"odac sweep: --values: {message}\n"
+
+
 def test_sweep_rejects_empty_values(tmp_path, capsys):
     scene = run_generate(tmp_path)
     code = main(

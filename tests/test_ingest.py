@@ -533,24 +533,43 @@ def test_fast_reader_matches_row_loop(case, has_header):
     text, label = case
     data = text.encode("utf-8")
     loop = _outcome(lambda: ingest._read_rows(_handle(data), has_header, label, False))
-    fast = ingest._read_fast(_handle(data), 0, has_header, label)
+    fast = ingest._read_fast(_handle(data), has_header, label)
     if fast is not None:  # when the fast path answers, it is the loop's answer
         assert _outcome(lambda: fast) == loop
     assert _outcome(lambda: ingest._read_table(io.BytesIO(data), has_header, label)) == loop
+    # An io.StringIO splits lines only at "\n", for both readers.
+    text_loop = _outcome(lambda: ingest._read_rows(io.StringIO(text), has_header, label, False))
+    assert _outcome(lambda: ingest._read_table(io.StringIO(text), has_header, label)) == text_loop
 
 
 def test_fast_reader_takes_clean_files(tmp_path, monkeypatch):
-    def no_loop(*args):
+    def no_loop(*args, **kwargs):
         raise AssertionError("the row loop ran")
 
     rows = "1.5,0,-2e3\r\n\r\n3, 1 ,4\r\n5,0,nan\r\n"
-    headers = ["\ufeffx,label,y\r\n", '\ufeff"x","label" ,"y,z"\r\n']  # plain, quoted
+    headers = [
+        "\ufeffx,label,y\r\n",  # plain
+        '\ufeff"x","label" ,"y,z"\r\n',  # quoted
+        '"x\r\nw",label,y\r\n',  # a quoted name spanning two lines
+        "\r\nx,label,y\r\n",  # a blank line first
+        "\ufeff\r\nx,label,y\r\n",  # a byte-order mark, then a blank line
+    ]
     monkeypatch.setattr(ingest, "_read_rows", no_loop)
-    for kind, header in itertools.product(("path", "bytes"), headers):
+    for kind, header in itertools.product(("path", "bytes", "text"), headers):
         points, flags = ingest._read_table(_source(kind, header + rows, tmp_path), True, "label")
         assert points.tolist()[:2] == [[1.5, -2000.0], [3.0, 4.0]]
         assert np.isnan(points[2, 1])
         assert flags.tolist() == [False, True, False]
+
+
+def test_text_file_part_read_with_next_is_read_on(tmp_path):
+    # Iterating a text file disables its tell(); the loop reads on from there.
+    path = tmp_path / "preamble.csv"
+    path.write_text("a preamble line\nx,y\n1,2\n3,4\n5,6\n")
+    with open(path) as handle:
+        next(handle)
+        data = read_csv(handle, has_header=True)
+    assert data.points.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
 
 @pytest.mark.parametrize("kind", ["path", "bytes"])
