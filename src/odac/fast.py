@@ -38,29 +38,33 @@ one thread per CPU the process may use, each query on one thread, while
 the calling thread takes the results in block order; with one block or
 one CPU the calling thread queries them itself.
 
-`_BruteIndex` takes contiguous blocks of input rows on the same pool,
-sized so the blocks in progress share one budget of estimates that stays
-near the cores' caches. Most of a block's work is numpy's
-single-threaded selection and exact recomputation, so while the pool
-runs numpy's OpenBLAS is held to one thread, whose threads would
-otherwise contend with the pool's, and its saved thread count is
-restored when the pass ends, however it ends. Where no OpenBLAS
-thread-count call is found, the calling thread takes the blocks one at a
-time, each product on BLAS's own threads. The scan ranks a block against
-every point with one float32 BLAS matrix product of the expanded squared
-distance and recomputes the few best candidates exactly, in cdist's
-order (the FAISS scheme, Johnson et al. 2017). A row is settled when a
-bound on the product's rounding shows that no point outside its
-candidates can be nearer; the bound grows with the norms of the row and
-of each point it compares, not with the largest norm in the data
-(Higham 2002, ch. 3), so far outliers do not unsettle the rest. So there
-are three stages: every row is ranked in float32, the rows that leaves
-unsettled are ranked again in float64 under the same bound, and the rows
-still unsettled, or tied at the cut in either ranking, are scanned
-against every point in cdist's order. Each stage's distances are
-cdist's bits. The index holds the caller's points, their mean, their
-float64 squared norms and the float32 ranker; the float64 ranker is
-built, once and under a lock, when a block first has a row the float32
+`_BruteIndex` gives the same pool its blocks as tasks of _BRUTE_TASK
+input rows, and each task ranks its rows one chunk at a time, sized so
+the chunks in progress share one budget of estimates that stays near
+the cores' caches: the pool's unit of work and the scan's unit of
+memory are set apart, so a small budget does not mean a hand-off per
+few rows. Most of a chunk's work is numpy's single-threaded selection
+and exact recomputation, so while the pool runs numpy's OpenBLAS is
+held to one thread, whose threads would otherwise contend with the
+pool's, and its saved thread count is restored when the pass ends,
+however it ends. Where no OpenBLAS thread-count call is found, the
+calling thread takes the tasks one at a time, each chunk's product on
+BLAS's own threads and with the whole budget. The scan ranks a chunk
+against every point with one float32 BLAS matrix product of the
+expanded squared distance and recomputes the few best candidates
+exactly, in cdist's order (the FAISS scheme, Johnson et al. 2017). A
+row is settled when a bound on the product's rounding shows that no
+point outside its candidates can be nearer; the bound grows with the
+norms of the row and of each point it compares, not with the largest
+norm in the data (Higham 2002, ch. 3), so far outliers do not unsettle
+the rest. So there are three stages: every row is ranked in float32,
+the rows that leaves unsettled are ranked again in float64 under the
+same bound, and the rows still unsettled, or tied at the cut in either
+ranking, are scanned against every point in cdist's order, all of a
+task's such rows in one scan. Each stage's distances are cdist's bits.
+The index holds the caller's points, their mean, their float64 squared
+norms and the float32 ranker; the float64 ranker is
+built, once and under a lock, when a chunk first has a row the float32
 stage leaves unsettled, and kept for the life of the index, so a scene
 float32 settles never holds it. The candidates are picked in two steps:
 each row's estimates are cut into _SLICES equal slices, their
@@ -105,25 +109,42 @@ from .types import Dataset, Params, ScoreReport, validate_dataset
 # kd-tree pruning degrades as dimensionality grows; past this width a
 # blocked brute-force scan is both simpler and faster.
 _TREE_MAX_DIM = 20
-# Cells in the brute-force blocks in progress at once, shared among the
-# pool's threads. A block holds its (rows, q) float32 squared-distance
+# Cells in the brute-force chunks in progress at once, shared among the
+# pool's threads. A chunk holds its (rows, q) float32 squared-distance
 # estimates, so the scan's memory stays flat as q and the CPU count grow;
-# the blocks in progress set the brute pass's peak memory, and each
+# the chunks in progress set the brute pass's peak memory, and each
 # thread selects from estimates near a core's L2 (2 MiB on the 2-core
 # machine measured). On the 32-D, 10^4-point `score_highdim` scene,
-# k = 40, on 2 CPUs, in 5 rounds of 8 s benchmark runs, 3 * 2^18 cells
-# (1.5 MiB a thread) read a median `peak_rss_mib` of 53.39 MiB and
-# `wall_s` of 0.378 s, 2^20 cells 54.93 MiB and 0.383 s, and 2^19 cells
-# 51.58 MiB but 0.405 s.
-_BRUTE_CELLS = 3 << 18
+# k = 40, on 2 CPUs, one chunk a task (before _BRUTE_TASK), in 5 rounds
+# of 8 s benchmark runs, 3 * 2^18 cells read a median `peak_rss_mib` of
+# 53.39 MiB and `wall_s` of 0.378 s, 2^20 cells 54.93 MiB and 0.383 s,
+# and 2^19 cells 51.58 MiB but 0.405 s. In 256-row tasks, on the seed-1
+# scene, the medians of 11 interleaved in-process runs of 7
+# `score_all_fast` passes were 0.226, 0.244 and 0.275 s at 3 * 2^18, 2^19 and 3 * 2^17
+# cells, against 0.272 s for one chunk a task at 3 * 2^18 (an earlier set
+# of 7 runs: 0.253, 0.288 and 0.330 s against 0.299 s); the steady peak
+# of a process running the benchmark's CLI passes and checks 7 times
+# (median of 9 interleaved) was 52.66, 50.14 and 49.56 MiB, against
+# 51.26 MiB. 2^19 is the smallest budget whose pass stayed faster than
+# one chunk a task in both sets.
+_BRUTE_CELLS = 1 << 19
+# Rows per brute-force pool task, scanned one chunk at a time, so the
+# pool makes one hand-off per task, not per chunk. At 2^19 cells, in the
+# runs above, tasks of 128, 256, 512 and 1024 rows took 0.259, 0.244,
+# 0.235 and 0.227 s and peaked at 51.07, 50.14, 51.05 and 51.71 MiB: the
+# pool holds threads + 1 tasks' distances at once.
+_BRUTE_TASK = 256
 # Cells in each part of a full rescan (`_nearest_exact`), whose (rows, q)
 # float64 sums and differences then take 1 MiB, near a core's cache; the
 # brute index's build fills its rankers in parts of as many coordinates. On
 # 4,000 points of {0,1}^32, k = 40, where 2,354 rows are rescanned, in 7
-# interleaved in-process passes at 1.5 * 2^19 brute cells, all of a
-# block's rescanned rows at once (up to 98) took a median of 0.26-0.28 s,
-# 2^17 cells 0.20-0.21 s, 2^16 0.20 s and 2^15 0.23 s.
+# interleaved in-process passes at 1.5 * 2^19 brute cells, one chunk a
+# task, all of a task's rescanned rows at once (up to 98) took a median
+# of 0.26-0.28 s, 2^17 cells 0.20-0.21 s, 2^16 0.20 s and 2^15 0.23 s.
 _RESCAN_CELLS = 1 << 16
+# Machine epsilon and smallest normal of each ranker dtype, for the brute
+# scan's settle bound, looked up once rather than per chunk.
+_FINFO = {dtype: (np.finfo(dtype).eps, np.finfo(dtype).tiny) for dtype in (np.float32, np.float64)}
 # Slices per row in the brute scan's pre-selection, so each group of
 # strided columns holds this many estimates. With float64 estimates, one
 # block at a time at 2^19 cells, a pass on the `score_highdim` scene took
@@ -367,72 +388,83 @@ class _BruteIndex(NeighborIndex):
         return ranker
 
     def _float64_ranker(self) -> np.ndarray:
-        """The float64 ranker, built once, by the first block that needs it."""
+        """The float64 ranker, built once, by the first chunk that needs it."""
         with self._ranker64_lock:
             if self._ranker64 is None:
                 self._ranker64 = self._ranker(np.float64)
         return self._ranker64
 
     def _plan(self, q: int) -> tuple[_BlasThreads | None, int, int]:
-        """OpenBLAS held and one thread per CPU, or neither; rows sharing _BRUTE_CELLS.
+        """OpenBLAS held and one thread per CPU, or neither; _BRUTE_TASK rows a task.
 
         Pooled only where OpenBLAS can be held to one thread: on its own
         threads the product contends with the pool's, and a pool so left
-        ran slower than one block at a time. The pool's blocks share one
-        budget, so the estimates held at once do not grow with the
-        number of CPUs.
+        ran slower than one chunk at a time.
         """
         blas = _openblas()
-        threads = 1 if blas is None else _cpus()
-        return blas, threads, max(1, _BRUTE_CELLS // (threads * q))
+        return blas, 1 if blas is None else _cpus(), _BRUTE_TASK
 
     def _query(self, block: slice, m: int) -> np.ndarray:
-        """Ascending distances from each block point to its m nearest points, by brute force.
+        """Ascending distances from each task point to its m nearest points, by brute force.
 
-        A cascade: every row is ranked in float32 (`_rank`); the rows that
-        ranking cannot settle are ranked again in float64, on the ranker
-        `_float64_ranker` builds for the first such row; the rows still
-        unsettled, and the rows tied at the cut in either ranking, are
-        scanned again in full by `_nearest_exact`. Each stage computes its
-        distances as cdist computes them, so the result is cdist's, bit
-        for bit, whichever stage settles a row.
+        The task's rows are ranked one chunk at a time, a chunk being the
+        rows whose estimates fit the plan's threads' share of _BRUTE_CELLS,
+        so the estimates held at once do not grow with the number of CPUs.
+        Each chunk runs a cascade: every row is ranked in float32
+        (`_rank`); the rows that ranking cannot settle are ranked again in
+        float64, on the ranker `_float64_ranker` builds for the first such
+        row. The rows still unsettled, and the rows tied at the cut in
+        either ranking, are collected over the task's chunks and scanned
+        again in full by one `_nearest_exact` call. Each stage computes its
+        distances as cdist computes them, so the result is cdist's, bit for
+        bit, whichever stage settles a row.
         """
-        rows = np.ldexp(self._points[block], -self._exp)
-        nearest = np.empty((len(rows), m))
-        todo, rescan = np.arange(len(rows)), []
-        for ranker in (lambda: self._ranker32, self._float64_ranker):
-            if not len(todo):
-                break
-            found, settled, tied = self._rank(ranker(), block.start + todo, rows[todo], m)
-            nearest[todo] = found
-            rescan.append(todo[tied])
-            todo = todo[~(settled | tied)]
-        rescan = np.concatenate([*rescan, todo])
+        q = len(self._points)
+        chunk = max(1, _BRUTE_CELLS // (self._plan(q)[1] * q))
+        nearest = np.empty((block.stop - block.start, m))
+        rescan = []
+        for start in range(block.start, block.stop, chunk):
+            # The float32 stage ranks the whole chunk, a run of the points.
+            at = slice(start, min(start + chunk, block.stop))
+            rows = np.ldexp(self._points[at], -self._exp)
+            todo = np.arange(at.start, at.stop)
+            for ranker in (lambda: self._ranker32, self._float64_ranker):
+                if not len(todo):
+                    break
+                found, settled, tied = self._rank(ranker(), at, rows, m)
+                nearest[todo - block.start] = found
+                rescan.append(todo[tied])
+                left = ~(settled | tied)
+                at = todo = todo[left]
+                rows = rows[left]
+            rescan.append(todo)
+        rescan = np.concatenate(rescan)
         if len(rescan):
-            nearest[rescan] = _nearest_exact(rows[rescan], self._points, m, self._exp)
+            rows = np.ldexp(self._points[rescan], -self._exp)
+            nearest[rescan - block.start] = _nearest_exact(rows, self._points, m, self._exp)
         return nearest
 
     def _rank(
-        self, ranker: np.ndarray, at: np.ndarray, rows: np.ndarray, m: int
+        self, ranker: np.ndarray, at: slice | np.ndarray, rows: np.ndarray, m: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distances to each row's m nearest candidates; which rows are settled, which tied.
 
-        `at` holds the rows' positions among the points, `rows` their
-        scaled coordinates. One matrix product in the ranker's dtype
-        estimates every point's expanded squared distance from each row,
-        less the row constant |a|^2: the lead rows [-2a, 1] against the
-        ranker's [b, |b|^2] give |b|^2 - 2ab. The m + _SPARE smallest
-        estimates become candidates (`_smallest`), whose distances are then
-        computed exactly, in cdist's order. A row is settled when no point
-        outside its candidates can be nearer than its m-th candidate. A
-        row not settled is tied when every candidate past its m-th is as
-        near as the m-th, as on grid data: a finer ranking can settle it
-        only by finding nearer points this one missed, so it is better
-        scanned again at once.
+        `at` holds the rows' positions among the points, a slice where they
+        are a run, and `rows` their scaled coordinates. One matrix product
+        in the ranker's dtype estimates every point's expanded squared
+        distance from each row, less the row constant |a|^2: the lead rows
+        [-2a, 1] against the ranker's [b, |b|^2] give |b|^2 - 2ab. The
+        m + _SPARE smallest estimates become candidates (`_smallest`),
+        whose distances are then computed exactly, in cdist's order. A row
+        is settled when no point outside its candidates can be nearer than
+        its m-th candidate. A row not settled is tied when every candidate
+        past its m-th is as near as the m-th, as on grid data: a finer
+        ranking can settle it only by finding nearer points this one
+        missed, so it is better scanned again at once.
         """
         q, n = self._points.shape
         width = min(m + _SPARE, q)
-        lead = np.empty((len(at), n + 1), ranker.dtype)
+        lead = np.empty((len(rows), n + 1), ranker.dtype)
         np.multiply(ranker[:n, at].T, -2, out=lead[:, :n])  # exact
         lead[:, n] = 1
         approx = lead @ ranker
@@ -475,11 +507,11 @@ class _BruteIndex(NeighborIndex):
         # When the row's m-th candidate square lies below it by more than
         # that, no point outside the candidates is nearer, and the row is
         # settled.
-        eps, tiny = np.finfo(ranker.dtype).eps, np.finfo(ranker.dtype).tiny
+        eps, tiny = _FINFO[ranker.dtype.type]
         c = 16 * (n + 2) * eps
         norms = self._norms[at]
         bound = (cut - 16 * (n + 2) * tiny + (1 - 3 * c) * norms) / (1 + 2 * c)
-        settled = bound - sq[:, m - 1] > 4 * np.finfo(np.float64).eps * (np.abs(cut) + norms)
+        settled = bound - sq[:, m - 1] > 4 * _FINFO[np.float64][0] * (np.abs(cut) + norms)
         settled |= width == q  # every point is a candidate
         tied = ~settled & (sq.max(axis=1) <= sq[:, m - 1])
         nearest = sq[:, :m]
@@ -633,7 +665,7 @@ def _squared_distances(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     diff *= diff
     # Reduced along its first, outermost axis, a contiguous array is
     # summed one coordinate at a time, in order, not pairwise.
-    return np.add.reduce(np.moveaxis(diff, 2, 0).copy(), axis=0)
+    return np.add.reduce(diff.transpose(2, 0, 1).copy(), axis=0)
 
 
 def _nearest_exact(rows: np.ndarray, points: np.ndarray, m: int, exp: int) -> np.ndarray:

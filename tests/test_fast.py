@@ -418,17 +418,22 @@ class TestBlockedPass:
 
     @pytest.fixture
     def scans(self, monkeypatch):
-        """Brute blocks of 100 cells on one thread; record every block's rows."""
-        calls = []
-        scan = fast._BruteIndex._query
+        """Brute chunks of 100 cells on one thread; record every chunk's rows.
 
-        def recording_scan(index, block, m):
-            calls.append(block.stop - block.start)
-            return scan(index, block, m)
+        Every row of a chunk is ranked in float32, so those rankings'
+        rows are the chunks.
+        """
+        calls = []
+        rank = fast._BruteIndex._rank
+
+        def recording_rank(index, ranker, at, rows, m):
+            if ranker.dtype == np.float32:
+                calls.append(len(rows))
+            return rank(index, ranker, at, rows, m)
 
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 100)
         monkeypatch.setattr(fast, "_cpus", lambda: 1)
-        monkeypatch.setattr(fast._BruteIndex, "_query", recording_scan)
+        monkeypatch.setattr(fast._BruteIndex, "_rank", recording_rank)
         return calls
 
     @pytest.fixture
@@ -544,8 +549,8 @@ class TestBlockedPass:
         points[cluster] = rng.uniform(0.0, 1.0, size=(len(cluster), 3))
         return points
 
-    # One block; 3-row blocks; 2-row blocks; then q just below, at and
-    # above 8 (m + _SPARE) = 112, where 8 slices first fit, in 1-row blocks.
+    # One chunk; 3-row chunks; 2-row chunks; then q just below, at and
+    # above 8 (m + _SPARE) = 112, where 8 slices first fit, in 1-row chunks.
     @pytest.mark.parametrize("q", [7, 29, 36, 104, 105, 111, 112, 113])
     def test_brute_blocks_match_unblocked_distances(self, scans, q):
         k = min(5, q - 1)
@@ -564,6 +569,17 @@ class TestBlockedPass:
         dist = fast._BruteIndex(points).distances_all(5)
         assert np.array_equal(dist, self.sorted_cdist(points, 5))
         assert rescans == [25]
+
+    def test_rescan_once_per_task(self, rescans, monkeypatch):
+        # The unit-vector scene above in 10-row tasks of 2-row chunks: the
+        # tied rows of a task's five chunks are rescanned in one call.
+        monkeypatch.setattr(fast, "_BRUTE_TASK", 10)
+        monkeypatch.setattr(fast, "_BRUTE_CELLS", 2 * 25)
+        monkeypatch.setattr(fast, "_cpus", lambda: 1)
+        points = np.vstack([np.zeros(24), np.eye(24)])
+        dist = fast._BruteIndex(points).distances_all(5)
+        assert np.array_equal(dist, self.sorted_cdist(points, 5))
+        assert rescans == [10, 10, 5]
 
     @given(
         dim=st.sampled_from([2, 6, 25, 33]),
@@ -640,8 +656,8 @@ class TestBlockedPass:
     # Cluster width over separation: float32 settles the widest; past it
     # every row is ranked again in float64, which settles each row down to
     # 10^-5; at 10^-6 some rows are scanned again in full. The pooled case
-    # ranks 50-row blocks on 2 threads, which may both need the float64
-    # ranker at once.
+    # ranks 50-row chunks in four tasks on 2 threads, which may both need
+    # the float64 ranker at once.
     RATIOS = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 
     @pytest.mark.parametrize(
@@ -704,11 +720,12 @@ class TestBlockedPass:
 
     @pytest.mark.parametrize("path", ["tree", "brute"])
     def test_streamed_scores_match_two_step(self, monkeypatch, path):
-        # 7-row tree blocks or 3-row brute blocks: score_all_fast and
-        # score_settings score each block as the pass yields it, and must
-        # give the bits of scoring the whole (q, s_n) distance array
-        # afterwards.
+        # 7-row tree blocks or 7-row brute tasks of 1-3 row chunks:
+        # score_all_fast and score_settings score each block as the pass
+        # yields it, and must give the bits of scoring the whole (q, s_n)
+        # distance array afterwards.
         monkeypatch.setattr(fast, "_BLOCK", 7)
+        monkeypatch.setattr(fast, "_BRUTE_TASK", 7)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 300)
         points = self.points_with_twin(100)
         points[60:64] = points[7]  # four more copies of one point
@@ -733,6 +750,7 @@ class TestBlockedPass:
         # the caller, and every pool thread be gone when it does.
         points = np.vstack([np.random.default_rng(33).uniform(size=(29, 2)), [1e10, 0.0]])
         monkeypatch.setattr(fast, "_BLOCK", 7)
+        monkeypatch.setattr(fast, "_BRUTE_TASK", 7)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 7 * len(points))
         monkeypatch.setattr(fast, "_cpus", lambda: 3)
         index = scorers_on(path, points, monkeypatch)
@@ -761,6 +779,7 @@ class TestBlockedPass:
         # on any row, not the first to underflow in the earliest block.
         points = np.vstack([np.random.default_rng(33).uniform(size=(29, 2)), [1e10, 0.0]])
         monkeypatch.setattr(fast, "_BLOCK", 7)
+        monkeypatch.setattr(fast, "_BRUTE_TASK", 7)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 7 * len(points))
         scorers_on(path, points, monkeypatch)
         labeled = LabeledDataset(Dataset(points), np.arange(len(points)) == len(points) - 1)
@@ -814,6 +833,7 @@ class TestBlockedPass:
         # distance is 0 as for the duplicate twin 2. Two-row blocks split them.
         points = np.array([[1.0, 0], [1.0, 1e-200], [1.0, 0], [4.0, 4], [1.0, -3]])
         monkeypatch.setattr(fast, "_BLOCK", 2)
+        monkeypatch.setattr(fast, "_BRUTE_TASK", 2)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 2 * len(points))
         dist = index_on(path, points).distances_all(3)
         assert dist.tolist() == [
@@ -832,11 +852,11 @@ needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy does not shi
 
 
 class TestPooledBruteScan:
-    """The brute scan's blocks on the pool, with OpenBLAS held to one thread."""
+    """The brute scan's tasks on the pool, with OpenBLAS held to one thread."""
 
     @pytest.fixture
     def callers(self, monkeypatch):
-        """Force the brute path; record the thread of every block's scan and rescan."""
+        """Force the brute path; record the thread of every task's scan and rescan."""
         calls = {"scan": set(), "rescan": set()}
         scan = fast._BruteIndex._query
         nearest_exact = fast._nearest_exact
@@ -856,12 +876,12 @@ class TestPooledBruteScan:
 
     @staticmethod
     def scene(name):
-        if name == "datagen":  # blocks of 262 rows on 2 threads, the last one of 166
+        if name == "datagen":  # tasks of 256 rows on 2 threads, the last one of 208
             spec = SyntheticSpec(dim=32, normal_count=1990, anomaly_count=10, seed=32)
             return generate(spec).data.points
         if name == "binary":  # ties at every cut: about 2,300 rows are rescanned
             return np.random.default_rng(0).integers(0, 2, size=(4000, 32)).astype(float)
-        # 61 points, so the last of the 4-row blocks below holds one row.
+        # 61 points, so the last of the 12-row tasks below holds one row.
         return np.random.default_rng(61).uniform(-1.0, 1.0, size=(61, 32))
 
     def passes(self, points, k):
@@ -875,7 +895,8 @@ class TestPooledBruteScan:
     )
     def test_pooled_scan_matches_one_thread(self, callers, monkeypatch, name, k):
         points = self.scene(name)
-        if name == "short":
+        if name == "short":  # 4-row chunks on 2 threads
+            monkeypatch.setattr(fast, "_BRUTE_TASK", 12)
             monkeypatch.setattr(fast, "_BRUTE_CELLS", 2 * 4 * len(points))
         results = {}
         for cpus in (1, 2):
@@ -884,10 +905,58 @@ class TestPooledBruteScan:
             callers["rescan"].clear()
             results[cpus] = self.passes(points, k)
             assert (callers["scan"] == {threading.get_ident()}) == (cpus == 1)
-            if name == "binary":  # the rescans ran where their blocks did
+            if name == "binary":  # the rescans ran where their tasks did
                 assert callers["rescan"] == callers["scan"]
         for serial, pooled in zip(results[1], results[2]):
             assert np.array_equal(serial, pooled)
+
+    @needs_openblas
+    def test_tasks_stream_through_chunks(self, callers, monkeypatch):
+        # 100 points in 24-row tasks, the last of 4 rows, on a budget of 5
+        # rows a thread: pooled, each task is ranked in chunks of 5, 5, 5, 5
+        # and 4 rows; on one thread, or without OpenBLAS, in 10, 10 and 4.
+        points = np.random.default_rng(100).uniform(-1.0, 1.0, size=(100, 32))
+        points[50:53] = points[:3]  # duplicate twins
+        expected = cdist(points, points)
+        expected.sort(axis=1)
+        expected = expected[:, 1:8]
+        monkeypatch.setattr(fast, "_BRUTE_TASK", 24)
+        monkeypatch.setattr(fast, "_BRUTE_CELLS", 2 * 5 * len(points))
+        monkeypatch.setattr(fast, "_cpus", lambda: 2)
+        tasks = [slice(start, min(start + 24, 100)) for start in range(0, 100, 24)]
+        ranked, submitted = [], []
+        rank = fast._BruteIndex._rank
+
+        def recording_rank(index, ranker, at, rows, m):
+            if ranker.dtype == np.float32:
+                ranked.append(len(rows))  # pool threads append in any order
+            return rank(index, ranker, at, rows, m)
+
+        class RecordingPool(fast.ThreadPoolExecutor):
+            def submit(self, fn, block):
+                submitted.append(block)
+                return super().submit(fn, block)
+
+        monkeypatch.setattr(fast._BruteIndex, "_rank", recording_rank)
+        monkeypatch.setattr(fast, "ThreadPoolExecutor", RecordingPool)
+        for run in ("pooled", "one_cpu", "no_openblas"):
+            if run == "one_cpu":
+                monkeypatch.setattr(fast, "_cpus", lambda: 1)
+            elif run == "no_openblas":
+                monkeypatch.setattr(fast, "_cpus", lambda: 2)
+                monkeypatch.setattr(fast, "_openblas", lambda: None)
+            chunk = 5 if run == "pooled" else 10
+            ranked.clear()
+            submitted.clear()
+            callers["scan"].clear()
+            dist = NeighborIndex(points).distances_all(7)
+            assert np.array_equal(dist, expected), run
+            parts = [min(chunk, 24 - start) for start in range(0, 24, chunk)]
+            assert sorted(ranked) == sorted(4 * parts + [4])
+            assert max(ranked) <= chunk
+            pooled = run == "pooled"
+            assert submitted == (tasks if pooled else [])
+            assert (callers["scan"] == {threading.get_ident()}) == (not pooled)
 
     def test_without_openblas_the_scan_runs_in_the_calling_thread(self, callers, monkeypatch):
         points = self.scene("datagen")
@@ -901,7 +970,7 @@ class TestPooledBruteScan:
             assert np.array_equal(a, b)
 
     def test_one_block_runs_here_without_holding_blas(self, callers, monkeypatch):
-        # 40 points in 25-D fit one brute block, so the plan's two threads
+        # 40 points in 25-D fit one brute task, so the plan's two threads
         # are clamped to one: the query runs here and OpenBLAS is left alone.
         points = np.random.default_rng(40).uniform(-1.0, 1.0, size=(40, 25))
         sets = []
@@ -916,9 +985,9 @@ class TestPooledBruteScan:
     @needs_openblas
     @pytest.mark.parametrize("ending", ["returns", "underflow", "scan_fails"])
     def test_blas_thread_count_is_restored(self, monkeypatch, ending):
-        # 60 points in blocks of 10 rows on 2 threads. The pass ends
+        # 60 points in tasks of 10 rows on 2 threads. The pass ends
         # normally; with SimilarityUnderflow, which n_d = 1e-320 raises in
-        # the first block; or with an error from a pool thread, which ends
+        # the first task; or with an error from a pool thread, which ends
         # the pass's generator early. Each way OpenBLAS must have run on one
         # thread and got its count back, and no pool thread be left.
         get, set_ = OPENBLAS
@@ -933,6 +1002,7 @@ class TestPooledBruteScan:
             return scan(index, block, m)
 
         monkeypatch.setattr(fast, "_TREE_MAX_DIM", 0)
+        monkeypatch.setattr(fast, "_BRUTE_TASK", 10)
         monkeypatch.setattr(fast, "_BRUTE_CELLS", 2 * 10 * len(points))
         monkeypatch.setattr(fast, "_cpus", lambda: 2)
         monkeypatch.setattr(fast._BruteIndex, "_query", recording_scan)
